@@ -17,9 +17,6 @@ pub struct ContainerConfig {
     pub node_id: NodeId,
     /// Human-readable container name (used in status reports and directory metadata).
     pub name: String,
-    /// Default worker pool size for virtual sensors whose descriptor omits
-    /// `<life-cycle pool-size="...">`.
-    pub default_pool_size: usize,
     /// Worker threads for the container's sharded step loop.  `1` (the default) keeps
     /// the seed's sequential semantics: every sensor pipeline runs inline on the caller
     /// in deterministic name order.  `N > 1` shards the sensors across an `N`-thread
@@ -31,8 +28,6 @@ pub struct ContainerConfig {
     /// Capacity of the per-remote-subscriber disconnect buffer: how many output elements
     /// are retained for a subscriber that is temporarily unreachable.
     pub disconnect_buffer_capacity: usize,
-    /// Whether queries submitted by clients are cached as prepared plans.
-    pub query_cache_enabled: bool,
     /// Incremental (delta-window) evaluation of registered continuous queries.  On by
     /// default: queries whose plan the incremental executor can maintain are evaluated
     /// against only the rows that arrived since their previous evaluation, instead of
@@ -47,16 +42,8 @@ pub struct ContainerConfig {
     /// Container-wide buffer-pool page budget shared by every persistent table
     /// (resident memory ≈ pages × 8 KiB, cross-table eviction).
     pub storage_pool_pages: usize,
-    /// Clock regions the shared buffer pool is split into (pages stripe across regions
-    /// by hash; concurrent scans of different pages lock different regions).  `0` (the
-    /// default) lets the pool pick — currently 8, clamped to the page budget.
-    pub storage_pool_regions: usize,
     /// Write-ahead-log durability mode for persistent tables.
     pub wal_sync: SyncMode,
-    /// Group commit for [`SyncMode::Always`]: defer WAL fsyncs to one batched fsync per
-    /// container step instead of one per insert.  On by default — the container commits
-    /// at every step boundary, so durability moves from per-insert to per-step.
-    pub wal_group_commit: bool,
     /// Pages per heap segment for persistent tables (fixed-capacity segment files are
     /// what lets the retention pass reclaim disk space).  The default is ≈1 MiB per
     /// segment.
@@ -90,17 +77,13 @@ impl Default for ContainerConfig {
         ContainerConfig {
             node_id: NodeId::LOCAL,
             name: "gsn-node".to_owned(),
-            default_pool_size: 1,
             workers: 1,
             max_virtual_sensors: 1_024,
             disconnect_buffer_capacity: 64,
-            query_cache_enabled: true,
             incremental_queries: true,
             data_dir: None,
             storage_pool_pages: 4 * PersistentOptions::default().pool_pages,
-            storage_pool_regions: 0,
             wal_sync: SyncMode::default(),
-            wal_group_commit: true,
             storage_segment_pages: PersistentOptions::default().segment_pages,
             maintenance_interval_steps: 8,
             window_spill_bytes: None,
@@ -168,9 +151,10 @@ impl ContainerConfig {
             data_dir: self.data_dir.clone(),
             persistent: PersistentOptions {
                 pool_pages: self.storage_pool_pages,
-                pool_regions: self.storage_pool_regions,
                 sync: self.wal_sync,
-                group_commit: self.wal_group_commit,
+                // Group commit: one batched WAL fsync per container step (the step
+                // loop commits at every step boundary) instead of one per insert.
+                group_commit: true,
                 segment_pages: self.storage_segment_pages,
                 ..PersistentOptions::default()
             },
@@ -202,11 +186,8 @@ mod tests {
     fn defaults_are_sensible() {
         let c = ContainerConfig::default();
         assert_eq!(c.node_id, NodeId::LOCAL);
-        assert_eq!(c.default_pool_size, 1);
         assert_eq!(c.workers, 1);
-        assert!(c.wal_group_commit);
         assert!(c.max_virtual_sensors >= 1);
-        assert!(c.query_cache_enabled);
         assert!(c.disconnect_buffer_capacity > 0);
         assert_eq!(ContainerConfig::default().with_workers(0).workers, 1);
         assert_eq!(ContainerConfig::default().with_workers(8).workers, 8);

@@ -23,7 +23,7 @@
 //!   itself and its outputs stay in arrival order.
 //! * **Shared state** — the managers a pipeline touches live in a [`PipelineRuntime`]
 //!   shared by `Arc`: the [`StorageManager`] is internally synchronised (per-table
-//!   `RwLock`s plus the container-wide shared buffer pool), the [`QueryManager`] and
+//!   `RwLock`s plus the container-wide shared buffer pool), the [`QueryRepository`] and
 //!   [`NotificationManager`] sit behind `Mutex`es with short lock scopes (one
 //!   evaluation / one delivery), and the remote-route table behind an `RwLock` that
 //!   `step` only reads.
@@ -561,10 +561,6 @@ pub struct GsnContainer {
     mesh: Option<MeshState>,
     /// Federated scatter-gather queries this node coordinates, by request id.
     federated: HashMap<RequestId, FederatedQueryState>,
-    /// Transport for the row-shipping fallback of federated queries: whether the
-    /// per-host sub-queries use cursor prefetch, and their batch size.
-    row_ship_prefetch: bool,
-    row_ship_batch_rows: usize,
 }
 
 /// Client-side state of one in-flight peer metrics scrape.
@@ -626,6 +622,10 @@ const PREFETCH_WINDOW: usize = 4;
 /// How often a prefetching client acknowledges (every Nth batch): half the window, so
 /// the server's speculation never drains while an ack is in flight.
 const PREFETCH_ACK_EVERY: u64 = (PREFETCH_WINDOW / 2) as u64;
+
+/// Rows per batch of the per-host sub-queries a row-shipping federated query issues
+/// (plain pull cursors, no prefetch).
+const ROW_SHIP_BATCH_ROWS: usize = 256;
 
 /// One streaming-query cursor held open on behalf of a remote peer.
 struct RemoteCursor {
@@ -864,7 +864,6 @@ impl GsnContainer {
             storage: Arc::new(StorageManager::with_options(config.storage_options())),
             query_manager: QueryRepository::with_partitions(
                 config.workers.max(1),
-                config.query_cache_enabled,
                 config.incremental_queries,
             ),
             notifications: Mutex::new(NotificationManager::new(
@@ -916,8 +915,6 @@ impl GsnContainer {
             peer_metrics: HashMap::new(),
             mesh: None,
             federated: HashMap::new(),
-            row_ship_prefetch: false,
-            row_ship_batch_rows: 256,
             clock,
             config,
         }
@@ -1370,7 +1367,7 @@ impl GsnContainer {
         self.runtime.query_manager.explain(sql)
     }
 
-    /// Registers a continuous client query (see [`QueryManager::register`]).
+    /// Registers a continuous client query (see [`QueryRepository::register`]).
     pub fn register_query(
         &self,
         client: &str,
@@ -2543,13 +2540,6 @@ impl GsnContainer {
             .unwrap_or_default()
     }
 
-    /// Configures the row-shipping fallback's transport: whether per-host sub-queries
-    /// stream with cursor prefetch, and how many rows each batch carries.
-    pub fn set_row_ship_transport(&mut self, prefetch: bool, batch_rows: usize) {
-        self.row_ship_prefetch = prefetch;
-        self.row_ship_batch_rows = batch_rows.max(1);
-    }
-
     /// Overrides the gossip cadence (steps between rounds; 0 disables gossip).
     pub fn set_gossip_interval_steps(&mut self, steps: u64) {
         if let Some(mesh) = self.mesh.as_mut() {
@@ -2825,8 +2815,8 @@ impl GsnContainer {
                             let sub = self.remote_query_with(
                                 host,
                                 &format!("select * from {table}"),
-                                self.row_ship_batch_rows,
-                                self.row_ship_prefetch,
+                                ROW_SHIP_BATCH_ROWS,
+                                false,
                                 trace,
                             )?;
                             pending.push((sub, table.clone()));

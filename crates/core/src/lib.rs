@@ -65,7 +65,7 @@ pub use ism::{QualityPolicy, RateLimiter, SourceMonitor, SourceQuality};
 pub use notification::{Notification, NotificationManager, NotificationStats, SubscriptionId};
 pub use pool::WorkerPool;
 pub use query::{
-    shard_index, ClientQuery, ClientQueryId, ClientQueryResult, QueryManager, QueryManagerStats,
+    shard_index, ClientQuery, ClientQueryId, ClientQueryResult, QueryManagerStats,
     QueryPartitionStatus, QueryRepository,
 };
 pub use sensor::{SensorStats, SourceKind, VirtualSensor};

@@ -212,11 +212,9 @@ struct QueryPartition {
 }
 
 impl QueryPartition {
-    fn new(cache_enabled: bool) -> QueryPartition {
-        let mut engine = SqlEngine::with_optimizer(OptimizerConfig::default());
-        engine.set_cache_enabled(cache_enabled);
+    fn new() -> QueryPartition {
         QueryPartition {
-            engine,
+            engine: SqlEngine::new(),
             repository: HashMap::new(),
             by_table: HashMap::new(),
             stats: QueryManagerStats::default(),
@@ -453,26 +451,19 @@ pub struct QueryRepository {
     slow_queries: Arc<SlowQueryLog>,
 }
 
-/// Backwards-compatible name: a repository with one partition behaves exactly like the
-/// former single-lock query manager.
-pub type QueryManager = QueryRepository;
-
 impl QueryRepository {
-    /// Creates a single-partition repository (incremental evaluation enabled).
-    pub fn new(cache_enabled: bool) -> QueryRepository {
-        QueryRepository::with_partitions(1, cache_enabled, true)
+    /// Creates a single-partition repository; `incremental: false` forces full
+    /// re-evaluation of every registered query.
+    pub fn new(incremental: bool) -> QueryRepository {
+        QueryRepository::with_partitions(1, incremental)
     }
 
     /// Creates a repository with `partitions` shards (one per step-loop worker).
-    pub fn with_partitions(
-        partitions: usize,
-        cache_enabled: bool,
-        incremental: bool,
-    ) -> QueryRepository {
+    pub fn with_partitions(partitions: usize, incremental: bool) -> QueryRepository {
         let partitions = partitions.max(1);
         QueryRepository {
             partitions: (0..partitions)
-                .map(|_| Mutex::new(QueryPartition::new(cache_enabled)))
+                .map(|_| Mutex::new(QueryPartition::new()))
                 .collect(),
             routes: EpochCell::new(HashMap::new()),
             owners: RwLock::new(HashMap::new()),
@@ -899,8 +890,8 @@ mod tests {
                 s.create_table("room_temp", schema.clone(), Retention::Unbounded)
                     .unwrap();
             }
-            let incremental = QueryRepository::with_partitions(1, true, true);
-            let full = QueryRepository::with_partitions(1, true, false);
+            let incremental = QueryRepository::with_partitions(1, true);
+            let full = QueryRepository::with_partitions(1, false);
             for (i, sql) in queries.iter().enumerate() {
                 incremental
                     .register(&format!("c{i}"), sql, window, None)
@@ -949,7 +940,7 @@ mod tests {
     #[test]
     fn route_snapshots_stay_readable_across_deregistration() {
         let storage = storage_with_output();
-        let qm = QueryRepository::with_partitions(4, true, true);
+        let qm = QueryRepository::with_partitions(4, true);
         let id = qm
             .register(
                 "client-1",
@@ -1067,19 +1058,11 @@ mod tests {
         let (_, engine_stats) = qm.stats();
         assert_eq!(engine_stats.compiled, 1);
         assert_eq!(engine_stats.cache_hits, 49);
-
-        let uncached = QueryRepository::with_partitions(1, false, true);
-        for i in 0..10 {
-            uncached
-                .register(&format!("client-{i}"), sql, WindowSpec::Count(10), None)
-                .unwrap();
-        }
-        assert_eq!(uncached.stats().1.compiled, 10);
     }
 
     #[test]
     fn partitions_align_with_the_sensor_shards() {
-        let qm = QueryRepository::with_partitions(4, true, true);
+        let qm = QueryRepository::with_partitions(4, true);
         // The sensor `room-temp` and its output table `room_temp` hash identically.
         assert_eq!(
             shard_index("room-temp", 4),
@@ -1114,7 +1097,7 @@ mod tests {
 
     #[test]
     fn cross_table_queries_are_pinned_to_one_partition() {
-        let qm = QueryRepository::with_partitions(4, true, true);
+        let qm = QueryRepository::with_partitions(4, true);
         qm.register(
             "joiner",
             "select a.temperature from room_temp a join hall_temp b on a.room = b.room",

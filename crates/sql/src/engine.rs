@@ -121,7 +121,6 @@ impl EngineStats {
 pub struct SqlEngine {
     optimizer: OptimizerConfig,
     cache: HashMap<String, PreparedQuery>,
-    cache_enabled: bool,
     stats: EngineStats,
     telemetry: SqlTelemetry,
 }
@@ -133,12 +132,11 @@ impl Default for SqlEngine {
 }
 
 impl SqlEngine {
-    /// Creates an engine with default optimizer settings and the prepared-query cache on.
+    /// Creates an engine with default optimizer settings and an empty prepared-query cache.
     pub fn new() -> SqlEngine {
         SqlEngine {
             optimizer: OptimizerConfig::default(),
             cache: HashMap::new(),
-            cache_enabled: true,
             stats: EngineStats::default(),
             telemetry: SqlTelemetry::new(),
         }
@@ -164,21 +162,11 @@ impl SqlEngine {
         }
     }
 
-    /// Enables or disables the prepared-query cache (ablation knob).
-    pub fn set_cache_enabled(&mut self, enabled: bool) {
-        self.cache_enabled = enabled;
-        if !enabled {
-            self.cache.clear();
-        }
-    }
-
     /// Compiles a query without executing it.
     pub fn prepare(&mut self, sql: &str) -> GsnResult<PreparedQuery> {
-        if self.cache_enabled {
-            if let Some(prepared) = self.cache.get(sql) {
-                self.stats.cache_hits += 1;
-                return Ok(prepared.clone());
-            }
+        if let Some(prepared) = self.cache.get(sql) {
+            self.stats.cache_hits += 1;
+            return Ok(prepared.clone());
         }
         let sw = Stopwatch::start();
         let prepared = Self::compile(sql, &self.optimizer)?;
@@ -187,9 +175,7 @@ impl SqlEngine {
         if plan_has_pushdown(prepared.plan()) {
             self.stats.pushdown_applied += 1;
         }
-        if self.cache_enabled {
-            self.cache.insert(sql.to_owned(), prepared.clone());
-        }
+        self.cache.insert(sql.to_owned(), prepared.clone());
         Ok(prepared)
     }
 
@@ -380,20 +366,6 @@ mod tests {
         // A bare full scan pushes nothing down and leaves the counter alone.
         engine.execute("select * from readings", &cat).unwrap();
         assert_eq!(engine.stats().pushdown_applied, 1);
-    }
-
-    #[test]
-    fn cache_can_be_disabled() {
-        let mut engine = SqlEngine::new();
-        engine.set_cache_enabled(false);
-        let cat = catalog();
-        let sql = "select count(*) from readings";
-        engine.execute(sql, &cat).unwrap();
-        engine.execute(sql, &cat).unwrap();
-        let stats = engine.stats();
-        assert_eq!(stats.compiled, 2);
-        assert_eq!(stats.cache_hits, 0);
-        assert_eq!(engine.cache_size(), 0);
     }
 
     #[test]

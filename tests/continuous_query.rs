@@ -135,8 +135,8 @@ proptest! {
         storage
             .create_table("sensor_out", schema(), Retention::Unbounded)
             .unwrap();
-        let incremental = QueryRepository::with_partitions(1, true, true);
-        let full = QueryRepository::with_partitions(1, true, false);
+        let incremental = QueryRepository::with_partitions(1, true);
+        let full = QueryRepository::with_partitions(1, false);
         for (i, spec) in queries.iter().enumerate() {
             let sql = query_sql(spec);
             incremental
@@ -200,8 +200,8 @@ proptest! {
         storage
             .create_table("sensor_out", schema(), Retention::Elements(retention))
             .unwrap();
-        let incremental = QueryRepository::with_partitions(1, true, true);
-        let full = QueryRepository::with_partitions(1, true, false);
+        let incremental = QueryRepository::with_partitions(1, true);
+        let full = QueryRepository::with_partitions(1, false);
         for repo in [&incremental, &full] {
             repo.register(
                 "c",
@@ -272,7 +272,7 @@ fn time_window_seeding_reads_a_bounded_page_range() {
         storage.insert("sensor_out", element, Timestamp(i)).unwrap();
     }
 
-    let incremental = QueryRepository::with_partitions(1, true, true);
+    let incremental = QueryRepository::with_partitions(1, true);
     incremental
         .register(
             "c",
@@ -304,7 +304,7 @@ fn time_window_seeding_reads_a_bounded_page_range() {
     );
 
     // Parity: the bounded seed computes the same answer as full re-evaluation.
-    let full = QueryRepository::with_partitions(1, true, false);
+    let full = QueryRepository::with_partitions(1, false);
     full.register(
         "c",
         "select count(*) as n, sum(temperature) as s from sensor_out",
