@@ -58,8 +58,8 @@ use std::sync::Arc;
 
 use gsn_federation::{PlacementRing, ReplicatedDirectory};
 use gsn_network::{
-    AccessController, Directory, DirectoryEntry, IntegrityService, Message, Operation, Principal,
-    ReplicaRecord, RequestId, SimulatedNetwork,
+    AccessController, DirectoryEntry, Message, Operation, Principal, ReplicaRecord, RequestId,
+    SimulatedNetwork,
 };
 use gsn_sql::{PartialAggregatePlan, Relation};
 use gsn_storage::{StorageManager, StorageStats, WindowSpec};
@@ -517,8 +517,6 @@ pub struct GsnContainer {
     /// The step-loop worker pool; `None` when `workers <= 1` (sequential semantics).
     pool: Option<WorkerPool>,
     access: AccessController,
-    integrity: IntegrityService,
-    directory: Option<Arc<Directory>>,
     /// Remote subscriptions this container has requested but not yet seen acknowledged.
     /// Un-acked subscriptions are re-sent on every step so that a lost Subscribe message
     /// (lossy link, partition during deployment) does not silence the source forever.
@@ -557,7 +555,7 @@ pub struct GsnContainer {
     /// monitoring loop can read every peer's last known state at once).
     peer_metrics: HashMap<NodeId, MetricsSnapshot>,
     /// Mesh-federation state (placement ring + gossip-replicated directory); `None`
-    /// for standalone containers and shared-directory federations.
+    /// exactly for standalone containers.
     mesh: Option<MeshState>,
     /// Federated scatter-gather queries this node coordinates, by request id.
     federated: HashMap<RequestId, FederatedQueryState>,
@@ -717,7 +715,7 @@ struct PendingSubscription {
     refused: bool,
 }
 
-/// Mesh-federation state: the shared-nothing replacement for the central [`Directory`].
+/// Mesh-federation state: a networked container's own directory replica and ring view.
 ///
 /// A mesh container discovers sensors from its own [`ReplicatedDirectory`] (kept
 /// convergent by anti-entropy gossip) and places data by the [`PlacementRing`], so no
@@ -808,23 +806,12 @@ impl std::fmt::Debug for GsnContainer {
 impl GsnContainer {
     /// Creates a standalone container (no peer-to-peer networking) on the given clock.
     pub fn new(config: ContainerConfig, clock: Arc<dyn Clock>) -> GsnContainer {
-        Self::build(config, clock, None, None)
+        Self::build(config, clock, None)
     }
 
-    /// Creates a container attached to a simulated network and shared directory.
-    pub fn with_network(
-        config: ContainerConfig,
-        clock: Arc<dyn Clock>,
-        network: Arc<SimulatedNetwork>,
-        directory: Arc<Directory>,
-    ) -> GsnResult<GsnContainer> {
-        network.add_node(config.node_id)?;
-        Ok(Self::build(config, clock, Some(network), Some(directory)))
-    }
-
-    /// Creates a container attached to a simulated network with *mesh* federation: no
-    /// shared directory — sensor discovery runs against a local gossip-replicated
-    /// directory and data placement against a consistent-hash ring.  Call
+    /// Creates a container attached to a simulated network with *mesh* federation:
+    /// sensor discovery runs against a local gossip-replicated directory and data
+    /// placement against a consistent-hash ring.  Call
     /// [`mesh_bootstrap`](Self::mesh_bootstrap) with a seed view to join an existing
     /// mesh (or with an empty view to found one).
     pub fn with_mesh(
@@ -834,7 +821,7 @@ impl GsnContainer {
     ) -> GsnResult<GsnContainer> {
         network.add_node(config.node_id)?;
         let node = config.node_id;
-        let mut container = Self::build(config, clock, Some(network), None);
+        let mut container = Self::build(config, clock, Some(network));
         container.mesh = Some(MeshState {
             ring: PlacementRing::default(),
             replica: Mutex::new(ReplicatedDirectory::new(node)),
@@ -851,7 +838,6 @@ impl GsnContainer {
         config: ContainerConfig,
         clock: Arc<dyn Clock>,
         network: Option<Arc<SimulatedNetwork>>,
-        directory: Option<Arc<Directory>>,
     ) -> GsnContainer {
         let pool = (config.workers > 1)
             .then(|| WorkerPool::new(&format!("{}-step", config.name), config.workers));
@@ -896,8 +882,6 @@ impl GsnContainer {
             sensors: BTreeMap::new(),
             pool,
             access: AccessController::permissive(),
-            integrity: IntegrityService::new(),
-            directory,
             pending_subscriptions: Vec::new(),
             next_request_id: 1,
             remote_cursors: HashMap::new(),
@@ -959,11 +943,6 @@ impl GsnContainer {
         &self.access
     }
 
-    /// The data-integrity service.
-    pub fn integrity(&self) -> &IntegrityService {
-        &self.integrity
-    }
-
     /// The names of all deployed virtual sensors, sorted.
     pub fn sensor_names(&self) -> Vec<String> {
         self.sensors.keys().map(|n| n.as_str().to_owned()).collect()
@@ -990,9 +969,9 @@ impl GsnContainer {
 
     /// Deploys a virtual sensor from a parsed descriptor.
     ///
-    /// Deployment publishes the sensor's metadata to the directory (when networked) and,
-    /// for every `wrapper="remote"` stream source, resolves the predicates through the
-    /// directory and subscribes to the producing node.
+    /// Deployment publishes the sensor's metadata to the local directory replica (when
+    /// networked; gossip spreads it) and, for every `wrapper="remote"` stream source,
+    /// resolves the predicates against that replica and subscribes to the producing node.
     pub fn deploy(&mut self, descriptor: VirtualSensorDescriptor) -> GsnResult<VirtualSensorName> {
         if self.sensors.len() >= self.config.max_virtual_sensors {
             return Err(GsnError::resource_exhausted(format!(
@@ -1008,7 +987,6 @@ impl GsnContainer {
             )));
         }
 
-        let directory = self.directory.clone();
         let mesh = &self.mesh;
         let deployed_at = self.clock.now();
         let sensor = VirtualSensor::deploy(
@@ -1018,30 +996,23 @@ impl GsnContainer {
             |address| {
                 // Local loop-back entries resolve like remote ones: the producer is a
                 // sensor on this very node and deliveries short-circuit through notify().
-                let entry: DirectoryEntry = if let Some(directory) = &directory {
-                    directory.resolve_one(&address.predicates)?
-                } else if let Some(mesh) = mesh {
-                    mesh.replica.lock().resolve_one(&address.predicates)?
-                } else {
+                let Some(mesh) = mesh else {
                     return Err(GsnError::config(
                         "this container has no directory; `wrapper=\"remote\"` sources are unavailable",
                     ));
                 };
-                Ok((entry.node, entry.sensor.clone()))
+                let entry = mesh.replica.lock().resolve_one(&address.predicates)?;
+                Ok((entry.node, entry.sensor))
             },
             deployed_at,
         )?;
 
-        // Publish to the directory (shared or replica; gossip spreads the latter).
-        if self.directory.is_some() || self.mesh.is_some() {
+        // Publish to the local replica; gossip spreads it.
+        if let Some(mesh) = &self.mesh {
             let mut metadata = sensor.descriptor().metadata.clone();
             metadata.push(("name".to_owned(), name.as_str().to_owned()));
             metadata.push(("container".to_owned(), self.config.name.clone()));
-            if let Some(directory) = &self.directory {
-                directory.register(self.config.node_id, name.as_str(), metadata)?;
-            } else if let Some(mesh) = &self.mesh {
-                mesh.replica.lock().register(name.as_str(), metadata)?;
-            }
+            mesh.replica.lock().register(name.as_str(), metadata)?;
         }
 
         // Wire up remote sources: remember the routing and send Subscribe messages.
@@ -1096,9 +1067,7 @@ impl GsnContainer {
             GsnError::not_found(format!("virtual sensor `{name}` is not deployed"))
         })?;
         sensor.lock().teardown(&self.runtime.storage);
-        if let Some(directory) = &self.directory {
-            let _ = directory.deregister(self.config.node_id, key.as_str());
-        } else if let Some(mesh) = &self.mesh {
+        if let Some(mesh) = &self.mesh {
             let _ = mesh.replica.lock().deregister(key.as_str());
         }
         let (_, orphaned): (u64, Vec<String>) = self.runtime.remote_routes.update(|routes| {
@@ -2046,12 +2015,8 @@ impl GsnContainer {
                         }
                     }
                 }
-                // Directory traffic and pongs are informational for the container.
-                Message::DirectoryRegister { .. }
-                | Message::DirectoryDeregister { .. }
-                | Message::DirectoryLookup { .. }
-                | Message::DirectoryResult { .. }
-                | Message::Pong { .. } => {}
+                // Pongs are informational for the container.
+                Message::Pong { .. } => {}
             }
         }
         debug_assert!(out.deferred.is_empty());
@@ -2488,7 +2453,7 @@ impl GsnContainer {
     // -----------------------------------------------------------------------------------
 
     /// True when this container runs mesh federation (placement ring + replicated
-    /// directory instead of a shared [`Directory`]).
+    /// directory), i.e. when it is attached to a network.
     pub fn mesh_enabled(&self) -> bool {
         self.mesh.is_some()
     }
@@ -3219,7 +3184,6 @@ impl GsnContainer {
         let storage = self.runtime.storage.stats();
         let notifications = self.runtime.notifications.lock().stats();
         let network = self.runtime.network.as_deref().map(SimulatedNetwork::stats);
-        let directory = self.directory.as_ref().map(|d| d.stats());
         let (replica, replica_records) = match self.mesh.as_ref() {
             Some(mesh) => {
                 let replica = mesh.replica.lock();
@@ -3237,7 +3201,6 @@ impl GsnContainer {
             sensors: self.sensors.len(),
             remote_cursors: self.open_remote_cursors(),
             remote_queries: self.remote_queries.len(),
-            directory,
             replica,
             ring_members: self.mesh.as_ref().map(|m| m.ring.len()).unwrap_or(0),
             ring_ownership_permille: self.ring_ownership_permille(),

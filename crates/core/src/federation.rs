@@ -1,175 +1,31 @@
 //! A federation of GSN containers: the multi-node harness.
 //!
 //! The paper's demo deploys four sensor networks across three GSN nodes connected in a
-//! peer-to-peer fashion (Section 6, Figure 5).  [`Federation`] reproduces that topology in
-//! one process: a shared simulated network and directory, a shared simulated clock, and
-//! any number of containers.  Stepping the federation advances the clock and steps every
-//! container twice per tick — once to produce and send, once to drain deliveries — so that
-//! messages sent in a tick are observed within the same tick when link latency allows.
+//! peer-to-peer fashion (Section 6, Figure 5).  [`Mesh`] reproduces that topology in one
+//! process: a shared simulated network and clock, and any number of containers, each
+//! discovering sensors through its own gossip-replicated directory.  Stepping the mesh
+//! advances the clock and steps every container twice per tick — once to produce and
+//! send, once to drain deliveries — so that messages sent in a tick are observed within
+//! the same tick when link latency allows.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use gsn_network::{Directory, LinkSpec, SimulatedNetwork};
+use gsn_network::{LinkSpec, SimulatedNetwork};
 use gsn_types::{Duration, GsnError, GsnResult, NodeId, SimulatedClock, Timestamp};
 
 use crate::config::ContainerConfig;
 use crate::container::{GsnContainer, StepReport};
 
-/// A set of GSN containers sharing a simulated network, directory and clock.
-pub struct Federation {
-    network: Arc<SimulatedNetwork>,
-    directory: Arc<Directory>,
-    clock: SimulatedClock,
-    nodes: BTreeMap<NodeId, GsnContainer>,
-    next_node: u64,
-}
-
-impl Default for Federation {
-    fn default() -> Self {
-        Federation::new()
-    }
-}
-
-impl std::fmt::Debug for Federation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Federation({} nodes)", self.nodes.len())
-    }
-}
-
-impl Federation {
-    /// Creates an empty federation starting at simulated time zero.
-    pub fn new() -> Federation {
-        Federation {
-            network: Arc::new(SimulatedNetwork::new()),
-            directory: Arc::new(Directory::new()),
-            clock: SimulatedClock::new(),
-            nodes: BTreeMap::new(),
-            next_node: 1,
-        }
-    }
-
-    /// The shared simulated clock.
-    pub fn clock(&self) -> &SimulatedClock {
-        &self.clock
-    }
-
-    /// The current simulated time.
-    pub fn now(&self) -> Timestamp {
-        use gsn_types::Clock as _;
-        self.clock.now()
-    }
-
-    /// The shared network (for configuring links, partitions, inspecting statistics).
-    pub fn network(&self) -> &Arc<SimulatedNetwork> {
-        &self.network
-    }
-
-    /// The shared directory.
-    pub fn directory(&self) -> &Arc<Directory> {
-        &self.directory
-    }
-
-    /// Adds a container with an auto-assigned node id.
-    pub fn add_node(&mut self, name: &str) -> GsnResult<NodeId> {
-        let node_id = NodeId::new(self.next_node);
-        self.next_node += 1;
-        let config = ContainerConfig::named(node_id, name);
-        self.add_node_with_config(config)
-    }
-
-    /// Adds a container with an explicit configuration.
-    pub fn add_node_with_config(&mut self, config: ContainerConfig) -> GsnResult<NodeId> {
-        let node_id = config.node_id;
-        if self.nodes.contains_key(&node_id) {
-            return Err(GsnError::already_exists(format!(
-                "{node_id} already exists"
-            )));
-        }
-        let container = GsnContainer::with_network(
-            config,
-            Arc::new(self.clock.clone()),
-            Arc::clone(&self.network),
-            Arc::clone(&self.directory),
-        )?;
-        self.nodes.insert(node_id, container);
-        Ok(node_id)
-    }
-
-    /// The node ids, in order.
-    pub fn node_ids(&self) -> Vec<NodeId> {
-        self.nodes.keys().copied().collect()
-    }
-
-    /// Mutable access to a container.
-    pub fn node_mut(&mut self, node: NodeId) -> GsnResult<&mut GsnContainer> {
-        self.nodes
-            .get_mut(&node)
-            .ok_or_else(|| GsnError::not_found(format!("{node} is not part of this federation")))
-    }
-
-    /// Shared access to a container.
-    pub fn node(&self, node: NodeId) -> GsnResult<&GsnContainer> {
-        self.nodes
-            .get(&node)
-            .ok_or_else(|| GsnError::not_found(format!("{node} is not part of this federation")))
-    }
-
-    /// Configures the link between two nodes.
-    pub fn set_link(&self, a: NodeId, b: NodeId, spec: LinkSpec) {
-        self.network.set_link(a, b, spec);
-    }
-
-    /// Advances the simulated clock by `delta` and steps every container.
-    ///
-    /// Containers are stepped twice: the first pass polls wrappers and sends remote
-    /// deliveries; the second pass drains whatever arrived within the same tick.
-    pub fn step(&mut self, delta: Duration) -> StepReport {
-        self.clock.advance(delta);
-        let mut report = StepReport::default();
-        for container in self.nodes.values_mut() {
-            let r = container.step();
-            report.absorb(r);
-        }
-        for container in self.nodes.values_mut() {
-            let r = container.step();
-            report.absorb(r);
-        }
-        report
-    }
-
-    /// Runs the federation for `total` simulated time in `tick`-sized steps, returning the
-    /// aggregated report.
-    pub fn run_for(&mut self, total: Duration, tick: Duration) -> StepReport {
-        let mut report = StepReport::default();
-        let ticks = (total.as_millis() / tick.as_millis().max(1)).max(1);
-        for _ in 0..ticks {
-            let r = self.step(tick);
-            report.absorb(r);
-        }
-        report
-    }
-
-    /// Renders the status of every container.
-    pub fn render_status(&self) -> String {
-        let mut out = String::new();
-        for container in self.nodes.values() {
-            out.push_str(&container.status().render());
-            out.push('\n');
-        }
-        out
-    }
-}
-
 /// A federation of *mesh* containers: no shared directory, no shared anything except
 /// the simulated network and clock.
 ///
-/// Where [`Federation`] wires every container to one central [`Directory`] (the paper's
-/// original architecture), `Mesh` gives each container its own gossip-replicated
-/// directory plus a consistent-hash placement ring, so lookup and placement survive any
-/// single node leaving.  Nodes join sequentially through [`add_node`](Mesh::add_node)
-/// (each new node seeds its ring view from an existing member and announces the grown
-/// view) and leave through [`remove_node`](Mesh::remove_node).
+/// Each container holds its own gossip-replicated directory plus a consistent-hash
+/// placement ring, so lookup and placement survive any single node leaving, and
+/// discovery travels the same (possibly lossy) links as the data.  Nodes join
+/// sequentially through [`add_node`](Mesh::add_node) (each new node seeds its ring view
+/// from an existing member and announces the grown view) and leave through
+/// [`remove_node`](Mesh::remove_node).
 pub struct Mesh {
     network: Arc<SimulatedNetwork>,
     clock: SimulatedClock,
@@ -300,8 +156,9 @@ impl Mesh {
         }
     }
 
-    /// Advances the simulated clock by `delta` and steps every container twice (send
-    /// pass, then drain pass), exactly like [`Federation::step`].
+    /// Advances the simulated clock by `delta` and steps every container twice: the
+    /// first pass polls wrappers and sends remote deliveries; the second pass drains
+    /// whatever arrived within the same tick.
     pub fn step(&mut self, delta: Duration) -> StepReport {
         self.clock.advance(delta);
         let mut report = StepReport::default();
@@ -415,7 +272,7 @@ mod tests {
 
     #[test]
     fn federation_setup_and_node_access() {
-        let mut fed = Federation::new();
+        let mut fed = Mesh::new();
         let a = fed.add_node("node-a").unwrap();
         let b = fed.add_node("node-b").unwrap();
         assert_eq!(fed.node_ids(), vec![a, b]);
@@ -425,12 +282,13 @@ mod tests {
         assert!(fed
             .add_node_with_config(ContainerConfig::named(a, "dup"))
             .is_err());
-        assert_eq!(fed.now(), Timestamp::EPOCH);
+        // Each join drains its ring announce, which advances the shared clock.
+        assert!(fed.now() > Timestamp::EPOCH);
     }
 
     #[test]
     fn remote_virtual_sensor_flows_across_nodes() {
-        let mut fed = Federation::new();
+        let mut fed = Mesh::new();
         let producer_node = fed.add_node("producer").unwrap();
         let consumer_node = fed.add_node("consumer").unwrap();
         fed.set_link(producer_node, consumer_node, LinkSpec::lan());
@@ -439,12 +297,17 @@ mod tests {
             .unwrap()
             .deploy(producer_descriptor())
             .unwrap();
-        // The directory now knows the producer, so the consumer's remote source resolves.
+        // Once gossip carries the producer's entry to the consumer's replica, the
+        // consumer's remote source resolves.
+        fed.run_for(Duration::from_secs(1), Duration::from_millis(100));
         fed.node_mut(consumer_node)
             .unwrap()
             .deploy(consumer_descriptor())
             .unwrap();
-        assert_eq!(fed.directory().len(), 2);
+        assert_eq!(
+            fed.node(consumer_node).unwrap().replica_lookup(&[]).len(),
+            2
+        );
 
         let report = fed.run_for(Duration::from_secs(2), Duration::from_millis(100));
         assert!(report.outputs > 0);
@@ -461,7 +324,11 @@ mod tests {
         let t = rel.rows()[0][1].as_double().unwrap();
         assert!((10.0..=40.0).contains(&t), "implausible temperature {t}");
 
-        let status = fed.render_status();
+        let status: String = fed
+            .node_ids()
+            .into_iter()
+            .map(|node| fed.node(node).unwrap().status().render())
+            .collect();
         assert!(status.contains("producer"));
         assert!(status.contains("consumer"));
         assert!(fed.network().stats().delivered > 0);
@@ -469,7 +336,7 @@ mod tests {
 
     #[test]
     fn remote_streaming_query_ships_incremental_batches() {
-        let mut fed = Federation::new();
+        let mut fed = Mesh::new();
         let producer_node = fed.add_node("producer").unwrap();
         let client_node = fed.add_node("client").unwrap();
         fed.set_link(producer_node, client_node, LinkSpec::lan());
@@ -536,7 +403,7 @@ mod tests {
 
     #[test]
     fn remote_streaming_query_survives_a_lossy_link() {
-        let mut fed = Federation::new();
+        let mut fed = Mesh::new();
         let producer_node = fed.add_node("producer").unwrap();
         let client_node = fed.add_node("client").unwrap();
         // A wireless link dropping ~30% of all messages: QueryRequest, QueryNext and
@@ -606,7 +473,7 @@ mod tests {
 
     #[test]
     fn abandoned_remote_cursors_are_reaped() {
-        let mut fed = Federation::new();
+        let mut fed = Mesh::new();
         let producer_node = fed.add_node("producer").unwrap();
         let client_node = fed.add_node("client").unwrap();
         fed.node_mut(producer_node)
@@ -677,7 +544,7 @@ mod tests {
 
     #[test]
     fn consumer_without_matching_producer_fails_to_deploy() {
-        let mut fed = Federation::new();
+        let mut fed = Mesh::new();
         let node = fed.add_node("lonely").unwrap();
         let err = fed
             .node_mut(node)
@@ -689,13 +556,14 @@ mod tests {
 
     #[test]
     fn partition_buffers_then_recovers() {
-        let mut fed = Federation::new();
+        let mut fed = Mesh::new();
         let producer_node = fed.add_node("producer").unwrap();
         let consumer_node = fed.add_node("consumer").unwrap();
         fed.node_mut(producer_node)
             .unwrap()
             .deploy(producer_descriptor())
             .unwrap();
+        fed.run_for(Duration::from_secs(1), Duration::from_millis(100));
         fed.node_mut(consumer_node)
             .unwrap()
             .deploy(consumer_descriptor())
@@ -928,7 +796,7 @@ mod tests {
 
     #[test]
     fn prefetch_remote_query_matches_plain_result() {
-        let mut fed = Federation::new();
+        let mut fed = Mesh::new();
         let producer_node = fed.add_node("producer").unwrap();
         let client_node = fed.add_node("client").unwrap();
         fed.set_link(producer_node, client_node, LinkSpec::lan());
@@ -999,7 +867,7 @@ mod tests {
 
     #[test]
     fn prefetch_remote_query_survives_a_lossy_link() {
-        let mut fed = Federation::new();
+        let mut fed = Mesh::new();
         let producer_node = fed.add_node("producer").unwrap();
         let client_node = fed.add_node("client").unwrap();
         fed.set_link(producer_node, client_node, LinkSpec::wireless(5, 0.3));
@@ -1044,7 +912,7 @@ mod tests {
 
     #[test]
     fn multiple_producers_same_metadata_resolve_deterministically() {
-        let mut fed = Federation::new();
+        let mut fed = Mesh::new();
         let a = fed.add_node("a").unwrap();
         let b = fed.add_node("b").unwrap();
         let c = fed.add_node("c").unwrap();
@@ -1056,6 +924,7 @@ mod tests {
         let mut alt = producer_descriptor();
         alt.name = gsn_types::VirtualSensorName::new("room-bc143-temperature-backup").unwrap();
         fed.node_mut(b).unwrap().deploy(alt).unwrap();
+        fed.run_for(Duration::from_secs(1), Duration::from_millis(100));
         // The consumer resolves to the deterministic first match (lowest node id).
         fed.node_mut(c)
             .unwrap()

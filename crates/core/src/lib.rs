@@ -60,7 +60,7 @@ pub mod telemetry;
 pub use config::{system_clock, ContainerConfig};
 pub use container::{ContainerStatus, GsnContainer, RemoteQueryResult, SensorStatus, StepReport};
 pub use cursor::QueryCursor;
-pub use federation::{Federation, Mesh};
+pub use federation::Mesh;
 pub use ism::{QualityPolicy, RateLimiter, SourceMonitor, SourceQuality};
 pub use notification::{Notification, NotificationManager, NotificationStats, SubscriptionId};
 pub use pool::WorkerPool;

@@ -700,7 +700,7 @@ pub static REMOTE_QUERIES_PENDING: MetricDesc = MetricDesc::gauge(
     "queries",
 );
 
-/// Directory registrations observed by this node (shared directory or local replica).
+/// Directory registrations observed by this node's local replica.
 pub static DIRECTORY_REGISTRATIONS_TOTAL: MetricDesc = MetricDesc::counter(
     "gsn_directory_registrations_total",
     "Sensor registrations processed by the directory this node sees",
@@ -828,8 +828,6 @@ pub struct SourcedTotals<'a> {
     pub remote_cursors: usize,
     /// Pending remote queries.
     pub remote_queries: usize,
-    /// Shared-directory statistics (federation with a central directory).
-    pub directory: Option<gsn_network::DirectoryStats>,
     /// Replicated-directory statistics (mesh federation).
     pub replica: Option<gsn_federation::ReplicaStats>,
     /// Placement-ring members in this node's view.
@@ -980,12 +978,6 @@ impl SourcedMetrics {
         self.remote_cursors_open.set(totals.remote_cursors as i64);
         self.remote_queries_pending
             .set(totals.remote_queries as i64);
-        if let Some(directory) = totals.directory {
-            self.directory_registrations.store(directory.registrations);
-            self.directory_deregistrations
-                .store(directory.deregistrations);
-            self.directory_lookups.store(directory.lookups);
-        }
         if let Some(replica) = totals.replica {
             self.directory_registrations.store(replica.registrations);
             self.directory_deregistrations

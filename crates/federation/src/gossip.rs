@@ -14,8 +14,8 @@ use gsn_network::{DirectoryEntry, ReplicaRecord};
 use gsn_telemetry::HealthSummary;
 use gsn_types::{GsnError, GsnResult, NodeId};
 
-/// Counters kept by a directory replica (the replicated twin of
-/// [`gsn_network::DirectoryStats`], plus gossip-specific counts).
+/// Counters kept by a directory replica: local registrations, deregistrations and
+/// lookups, plus gossip-specific counts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplicaStats {
     /// Local registrations processed.
@@ -322,6 +322,54 @@ mod tests {
         let stats = replica.stats();
         assert_eq!(stats.registrations, 1);
         assert_eq!(stats.deregistrations, 1);
+    }
+
+    #[test]
+    fn lookup_keeps_the_papers_predicate_semantics() {
+        // Node 2's replica, holding node 1's entries by gossip.
+        let mut remote = ReplicatedDirectory::new(NodeId::new(1));
+        remote
+            .register(
+                "bc143-temp",
+                meta(&[("type", "temperature"), ("location", "bc143")]),
+            )
+            .unwrap();
+        remote
+            .register(
+                "bc143-cam",
+                meta(&[("type", "camera"), ("location", "bc143")]),
+            )
+            .unwrap();
+        let mut d = ReplicatedDirectory::new(NodeId::new(2));
+        d.register(
+            "bc144-temp",
+            meta(&[("type", "temperature"), ("location", "bc144")]),
+        )
+        .unwrap();
+        d.apply(&remote.delta_for(&d.digest()));
+
+        // Keys and values match case-insensitively; empty predicates match everything.
+        assert_eq!(d.lookup(&meta(&[("TYPE", "Temperature")])).len(), 2);
+        assert_eq!(d.lookup(&[]).len(), 3);
+        // The reserved `name` and `node` keys match the entry identity.
+        assert_eq!(d.lookup(&meta(&[("name", "BC143-TEMP")])).len(), 1);
+        assert_eq!(d.lookup(&meta(&[("node", "2")])).len(), 1);
+        assert_eq!(d.lookup(&meta(&[("node", "node-1")])).len(), 2);
+        // `resolve_one` picks the lowest node, here a remote one; no match is not-found.
+        let entry = d.resolve_one(&meta(&[("type", "temperature")])).unwrap();
+        assert_eq!(entry.node, NodeId::new(1));
+        let err = d.resolve_one(&meta(&[("type", "sonar")])).unwrap_err();
+        assert_eq!(err.category(), "not-found");
+        // Re-registration replaces metadata.
+        d.register("bc144-temp", meta(&[("type", "humidity")]))
+            .unwrap();
+        assert_eq!(d.len(), 3);
+        assert!(d
+            .lookup(&meta(&[("type", "temperature"), ("location", "bc144")]))
+            .is_empty());
+        assert_eq!(d.lookup(&meta(&[("type", "humidity")])).len(), 1);
+        // A blank name is rejected.
+        assert!(d.register("  ", vec![]).is_err());
     }
 
     #[test]

@@ -1,20 +1,17 @@
-//! The peer-to-peer directory of virtual sensors.
+//! Directory entries and the paper's predicate lookup semantics.
 //!
 //! "Virtual sensor descriptions are identified by user-definable key-value pairs which are
 //! published in a peer-to-peer directory so that virtual sensors can be discovered and
 //! accessed based on any combination of their properties, for example, geographical
 //! location and sensor type" (paper, Section 4).
 //!
-//! The reproduction implements the directory as a shared service that every simulated node
-//! registers with and queries (logically a DHT; physically one in-process index).  Lookup
-//! semantics match the paper's descriptor addressing: a remote stream source lists
-//! predicates (`type=temperature`, `location=bc143`) and the directory returns every
-//! virtual sensor whose metadata satisfies *all* of them.
+//! The directory itself is gossip-replicated (`gsn_federation::ReplicatedDirectory`); this
+//! module holds what every replica answers with.  Lookup semantics match the paper's
+//! descriptor addressing: a remote stream source lists predicates (`type=temperature`,
+//! `location=bc143`) and a lookup returns every virtual sensor whose metadata satisfies
+//! *all* of them.
 
-use std::collections::HashMap;
-
-use gsn_types::{GsnError, GsnResult, NodeId};
-use parking_lot::RwLock;
+use gsn_types::NodeId;
 
 /// One directory entry: a published virtual sensor.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,241 +40,5 @@ impl DirectoryEntry {
                 .iter()
                 .any(|(k, v)| k.eq_ignore_ascii_case(key) && v.eq_ignore_ascii_case(value))
         })
-    }
-}
-
-/// Statistics kept by the directory.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DirectoryStats {
-    /// Registrations processed.
-    pub registrations: u64,
-    /// Deregistrations processed.
-    pub deregistrations: u64,
-    /// Lookups served.
-    pub lookups: u64,
-}
-
-/// The (logically distributed) virtual sensor directory.
-#[derive(Debug, Default)]
-pub struct Directory {
-    inner: RwLock<DirectoryInner>,
-}
-
-#[derive(Debug, Default)]
-struct DirectoryInner {
-    entries: HashMap<(NodeId, String), DirectoryEntry>,
-    stats: DirectoryStats,
-}
-
-impl Directory {
-    /// Creates an empty directory.
-    pub fn new() -> Directory {
-        Directory::default()
-    }
-
-    /// Publishes (or refreshes) a virtual sensor.
-    pub fn register(
-        &self,
-        node: NodeId,
-        sensor: &str,
-        metadata: Vec<(String, String)>,
-    ) -> GsnResult<()> {
-        if sensor.trim().is_empty() {
-            return Err(GsnError::descriptor(
-                "cannot register an unnamed virtual sensor",
-            ));
-        }
-        let mut inner = self.inner.write();
-        inner.stats.registrations += 1;
-        inner.entries.insert(
-            (node, sensor.to_ascii_lowercase()),
-            DirectoryEntry {
-                node,
-                sensor: sensor.to_ascii_lowercase(),
-                metadata,
-            },
-        );
-        Ok(())
-    }
-
-    /// Removes a virtual sensor.
-    pub fn deregister(&self, node: NodeId, sensor: &str) -> GsnResult<()> {
-        let mut inner = self.inner.write();
-        inner.stats.deregistrations += 1;
-        match inner.entries.remove(&(node, sensor.to_ascii_lowercase())) {
-            Some(_) => Ok(()),
-            None => Err(GsnError::not_found(format!(
-                "virtual sensor `{sensor}` is not registered by {node}"
-            ))),
-        }
-    }
-
-    /// Removes every entry published by a node (node shutdown).
-    pub fn deregister_node(&self, node: NodeId) -> usize {
-        let mut inner = self.inner.write();
-        let before = inner.entries.len();
-        inner.entries.retain(|(n, _), _| *n != node);
-        let removed = before - inner.entries.len();
-        inner.stats.deregistrations += removed as u64;
-        removed
-    }
-
-    /// Finds every entry matching all predicates, ordered by (node, sensor) for
-    /// deterministic results.
-    pub fn lookup(&self, predicates: &[(String, String)]) -> Vec<DirectoryEntry> {
-        let mut inner = self.inner.write();
-        inner.stats.lookups += 1;
-        let mut matches: Vec<DirectoryEntry> = inner
-            .entries
-            .values()
-            .filter(|e| e.matches(predicates))
-            .cloned()
-            .collect();
-        matches.sort_by(|a, b| (a.node, &a.sensor).cmp(&(b.node, &b.sensor)));
-        matches
-    }
-
-    /// Convenience wrapper: finds the single best match for a remote stream source,
-    /// returning an error when nothing matches.
-    pub fn resolve_one(&self, predicates: &[(String, String)]) -> GsnResult<DirectoryEntry> {
-        self.lookup(predicates).into_iter().next().ok_or_else(|| {
-            GsnError::not_found(format!(
-                "no virtual sensor matches predicates [{}]",
-                predicates
-                    .iter()
-                    .map(|(k, v)| format!("{k}={v}"))
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ))
-        })
-    }
-
-    /// Every registered entry (ordered).
-    pub fn entries(&self) -> Vec<DirectoryEntry> {
-        self.lookup(&[])
-    }
-
-    /// Number of registered entries.
-    pub fn len(&self) -> usize {
-        self.inner.read().entries.len()
-    }
-
-    /// True when no entries are registered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Directory statistics.
-    pub fn stats(&self) -> DirectoryStats {
-        self.inner.read().stats
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn meta(pairs: &[(&str, &str)]) -> Vec<(String, String)> {
-        pairs
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect()
-    }
-
-    fn populated() -> Directory {
-        let d = Directory::new();
-        d.register(
-            NodeId::new(1),
-            "bc143-temp",
-            meta(&[("type", "temperature"), ("location", "bc143")]),
-        )
-        .unwrap();
-        d.register(
-            NodeId::new(1),
-            "bc143-cam",
-            meta(&[("type", "camera"), ("location", "bc143")]),
-        )
-        .unwrap();
-        d.register(
-            NodeId::new(2),
-            "bc144-temp",
-            meta(&[("type", "temperature"), ("location", "bc144")]),
-        )
-        .unwrap();
-        d
-    }
-
-    #[test]
-    fn register_and_lookup_by_predicates() {
-        let d = populated();
-        assert_eq!(d.len(), 3);
-        let temps = d.lookup(&meta(&[("type", "temperature")]));
-        assert_eq!(temps.len(), 2);
-        let bc143_temp = d.lookup(&meta(&[("type", "temperature"), ("location", "bc143")]));
-        assert_eq!(bc143_temp.len(), 1);
-        assert_eq!(bc143_temp[0].sensor, "bc143-temp");
-        assert!(d.lookup(&meta(&[("type", "humidity")])).is_empty());
-        // Empty predicates match everything.
-        assert_eq!(d.lookup(&[]).len(), 3);
-        assert_eq!(d.entries().len(), 3);
-    }
-
-    #[test]
-    fn lookup_is_case_insensitive_and_supports_reserved_keys() {
-        let d = populated();
-        assert_eq!(d.lookup(&meta(&[("TYPE", "Temperature")])).len(), 2);
-        assert_eq!(d.lookup(&meta(&[("name", "BC143-TEMP")])).len(), 1);
-        assert_eq!(d.lookup(&meta(&[("node", "2")])).len(), 1);
-        assert_eq!(d.lookup(&meta(&[("node", "node-1")])).len(), 2);
-    }
-
-    #[test]
-    fn resolve_one_picks_deterministically() {
-        let d = populated();
-        let entry = d.resolve_one(&meta(&[("type", "temperature")])).unwrap();
-        assert_eq!(entry.node, NodeId::new(1)); // lowest node id wins
-        assert!(d.resolve_one(&meta(&[("type", "sonar")])).is_err());
-    }
-
-    #[test]
-    fn reregistration_replaces_metadata() {
-        let d = populated();
-        d.register(NodeId::new(1), "bc143-temp", meta(&[("type", "humidity")]))
-            .unwrap();
-        assert_eq!(d.len(), 3);
-        assert!(d
-            .lookup(&meta(&[("type", "temperature"), ("location", "bc143")]))
-            .is_empty());
-        assert_eq!(d.lookup(&meta(&[("type", "humidity")])).len(), 1);
-    }
-
-    #[test]
-    fn deregister_sensor_and_node() {
-        let d = populated();
-        d.deregister(NodeId::new(1), "bc143-cam").unwrap();
-        assert_eq!(d.len(), 2);
-        assert!(d.deregister(NodeId::new(1), "bc143-cam").is_err());
-        assert_eq!(d.deregister_node(NodeId::new(1)), 1);
-        assert_eq!(d.deregister_node(NodeId::new(1)), 0);
-        assert_eq!(d.len(), 1);
-        assert!(!d.is_empty());
-    }
-
-    #[test]
-    fn empty_names_are_rejected() {
-        let d = Directory::new();
-        assert!(d.register(NodeId::new(1), "  ", vec![]).is_err());
-    }
-
-    #[test]
-    fn stats_count_operations() {
-        let d = populated();
-        d.lookup(&[]);
-        d.lookup(&[]);
-        let stats = d.stats();
-        assert_eq!(stats.registrations, 3);
-        assert_eq!(stats.lookups, 2);
-        d.deregister(NodeId::new(2), "bc144-temp").unwrap();
-        assert_eq!(d.stats().deregistrations, 1);
     }
 }

@@ -22,36 +22,6 @@ pub type RequestId = u64;
 /// One message exchanged between GSN containers.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
-    /// Register a virtual sensor with the directory.
-    DirectoryRegister {
-        /// The publishing node.
-        node: NodeId,
-        /// The virtual sensor name.
-        sensor: String,
-        /// Discovery metadata (key–value predicates).
-        metadata: Vec<(String, String)>,
-    },
-    /// Remove a virtual sensor from the directory.
-    DirectoryDeregister {
-        /// The publishing node.
-        node: NodeId,
-        /// The virtual sensor name.
-        sensor: String,
-    },
-    /// Look up virtual sensors matching all the given predicates.
-    DirectoryLookup {
-        /// Correlation id.
-        request: RequestId,
-        /// The predicates that must all match.
-        predicates: Vec<(String, String)>,
-    },
-    /// The response to a lookup: matching (node, sensor) pairs.
-    DirectoryResult {
-        /// Correlation id of the lookup.
-        request: RequestId,
-        /// The matches.
-        matches: Vec<(NodeId, String)>,
-    },
     /// Subscribe to a remote virtual sensor's output stream.
     Subscribe {
         /// Correlation id.
@@ -290,10 +260,6 @@ impl Message {
     /// A short tag naming the message type (for logs and statistics).
     pub fn kind(&self) -> &'static str {
         match self {
-            Message::DirectoryRegister { .. } => "directory-register",
-            Message::DirectoryDeregister { .. } => "directory-deregister",
-            Message::DirectoryLookup { .. } => "directory-lookup",
-            Message::DirectoryResult { .. } => "directory-result",
             Message::Subscribe { .. } => "subscribe",
             Message::SubscribeAck { .. } => "subscribe-ack",
             Message::Unsubscribe { .. } => "unsubscribe",
@@ -366,10 +332,9 @@ impl WireElement {
 // Wire codec
 // ---------------------------------------------------------------------------------------
 
-const TAG_DIR_REGISTER: u8 = 1;
-const TAG_DIR_DEREGISTER: u8 = 2;
-const TAG_DIR_LOOKUP: u8 = 3;
-const TAG_DIR_RESULT: u8 = 4;
+// Tags 1–4 are retired (central-directory register/deregister/lookup/result).
+// Never reuse them: a frame carrying one must decode as an unknown tag, not as
+// some other message.
 const TAG_SUBSCRIBE: u8 = 5;
 const TAG_SUBSCRIBE_ACK: u8 = 6;
 const TAG_UNSUBSCRIBE: u8 = 7;
@@ -414,38 +379,6 @@ const VAL_TIMESTAMP: u8 = 6;
 pub fn encode(message: &Message) -> Bytes {
     let mut buf = BytesMut::with_capacity(64);
     match message {
-        Message::DirectoryRegister {
-            node,
-            sensor,
-            metadata,
-        } => {
-            buf.put_u8(TAG_DIR_REGISTER);
-            buf.put_u64(node.as_u64());
-            put_string(&mut buf, sensor);
-            put_pairs(&mut buf, metadata);
-        }
-        Message::DirectoryDeregister { node, sensor } => {
-            buf.put_u8(TAG_DIR_DEREGISTER);
-            buf.put_u64(node.as_u64());
-            put_string(&mut buf, sensor);
-        }
-        Message::DirectoryLookup {
-            request,
-            predicates,
-        } => {
-            buf.put_u8(TAG_DIR_LOOKUP);
-            buf.put_u64(*request);
-            put_pairs(&mut buf, predicates);
-        }
-        Message::DirectoryResult { request, matches } => {
-            buf.put_u8(TAG_DIR_RESULT);
-            buf.put_u64(*request);
-            buf.put_u32(matches.len() as u32);
-            for (node, sensor) in matches {
-                buf.put_u64(node.as_u64());
-                put_string(&mut buf, sensor);
-            }
-        }
         Message::Subscribe {
             request,
             subscriber,
@@ -689,30 +622,6 @@ pub fn decode(mut buf: &[u8]) -> GsnResult<Message> {
     }
     let tag = buf.get_u8();
     let message = match tag {
-        TAG_DIR_REGISTER => Message::DirectoryRegister {
-            node: NodeId::new(get_u64(&mut buf)?),
-            sensor: get_string(&mut buf)?,
-            metadata: get_pairs(&mut buf)?,
-        },
-        TAG_DIR_DEREGISTER => Message::DirectoryDeregister {
-            node: NodeId::new(get_u64(&mut buf)?),
-            sensor: get_string(&mut buf)?,
-        },
-        TAG_DIR_LOOKUP => Message::DirectoryLookup {
-            request: get_u64(&mut buf)?,
-            predicates: get_pairs(&mut buf)?,
-        },
-        TAG_DIR_RESULT => {
-            let request = get_u64(&mut buf)?;
-            let n = get_u32(&mut buf)? as usize;
-            let mut matches = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                let node = NodeId::new(get_u64(&mut buf)?);
-                let sensor = get_string(&mut buf)?;
-                matches.push((node, sensor));
-            }
-            Message::DirectoryResult { request, matches }
-        }
         TAG_SUBSCRIBE => Message::Subscribe {
             request: get_u64(&mut buf)?,
             subscriber: NodeId::new(get_u64(&mut buf)?),
@@ -1358,26 +1267,6 @@ mod tests {
 
     #[test]
     fn all_message_kinds_round_trip() {
-        roundtrip(Message::DirectoryRegister {
-            node: NodeId::new(3),
-            sensor: "room-temp".into(),
-            metadata: vec![
-                ("type".into(), "temperature".into()),
-                ("location".into(), "bc143".into()),
-            ],
-        });
-        roundtrip(Message::DirectoryDeregister {
-            node: NodeId::new(3),
-            sensor: "room-temp".into(),
-        });
-        roundtrip(Message::DirectoryLookup {
-            request: 77,
-            predicates: vec![("type".into(), "temperature".into())],
-        });
-        roundtrip(Message::DirectoryResult {
-            request: 77,
-            matches: vec![(NodeId::new(1), "a".into()), (NodeId::new(2), "b".into())],
-        });
         roundtrip(Message::Subscribe {
             request: 5,
             subscriber: NodeId::new(9),
@@ -1678,14 +1567,21 @@ mod tests {
         bytes.push(0);
         assert!(decode(&bytes).is_err());
         // Corrupted string length.
-        let mut bytes = encode(&Message::DirectoryDeregister {
-            node: NodeId::new(1),
+        let unsubscribe = encode(&Message::Unsubscribe {
+            subscriber: NodeId::new(1),
             sensor: "x".into(),
         })
         .to_vec();
+        let mut bytes = unsubscribe.clone();
         let len = bytes.len();
         bytes[len - 3] = 0xFF; // inflate the sensor-name length prefix
         assert!(decode(&bytes).is_err());
+        // The retired tags 1–4 are rejected, even in front of a well-formed body.
+        for tag in 1..=4u8 {
+            let mut frame = unsubscribe.clone();
+            frame[0] = tag;
+            assert!(decode(&frame).is_err(), "retired tag {tag} decoded");
+        }
     }
 
     #[test]

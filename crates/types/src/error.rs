@@ -32,8 +32,6 @@ pub enum GsnError {
     Disconnected(String),
     /// The caller is not authorised to perform the operation.
     AccessDenied(String),
-    /// A message failed its integrity check.
-    IntegrityViolation(String),
     /// Storage-layer failure (window overflow, retention misconfiguration, ...).
     Storage(String),
     /// The container or one of its services is shutting down.
@@ -83,10 +81,6 @@ impl GsnError {
     pub fn access_denied(msg: impl Into<String>) -> GsnError {
         GsnError::AccessDenied(msg.into())
     }
-    /// Builds a [`GsnError::IntegrityViolation`].
-    pub fn integrity(msg: impl Into<String>) -> GsnError {
-        GsnError::IntegrityViolation(msg.into())
-    }
     /// Builds a [`GsnError::Storage`].
     pub fn storage(msg: impl Into<String>) -> GsnError {
         GsnError::Storage(msg.into())
@@ -120,7 +114,6 @@ impl GsnError {
             GsnError::AlreadyExists(_) => "already-exists",
             GsnError::Disconnected(_) => "disconnected",
             GsnError::AccessDenied(_) => "access-denied",
-            GsnError::IntegrityViolation(_) => "integrity",
             GsnError::Storage(_) => "storage",
             GsnError::ShuttingDown(_) => "shutting-down",
             GsnError::ResourceExhausted(_) => "resource-exhausted",
@@ -141,7 +134,6 @@ impl GsnError {
             | GsnError::AlreadyExists(m)
             | GsnError::Disconnected(m)
             | GsnError::AccessDenied(m)
-            | GsnError::IntegrityViolation(m)
             | GsnError::Storage(m)
             | GsnError::ShuttingDown(m)
             | GsnError::ResourceExhausted(m)
@@ -187,7 +179,6 @@ mod tests {
             (GsnError::already_exists("a"), "already-exists"),
             (GsnError::disconnected("dc"), "disconnected"),
             (GsnError::access_denied("ad"), "access-denied"),
-            (GsnError::integrity("i"), "integrity"),
             (GsnError::storage("s"), "storage"),
             (GsnError::shutting_down("sd"), "shutting-down"),
             (GsnError::resource_exhausted("r"), "resource-exhausted"),
@@ -208,7 +199,6 @@ mod tests {
         assert!(GsnError::shutting_down("x").is_transient());
         assert!(!GsnError::descriptor("x").is_transient());
         assert!(!GsnError::sql_parse("x").is_transient());
-        assert!(!GsnError::integrity("x").is_transient());
     }
 
     #[test]

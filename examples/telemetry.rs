@@ -22,7 +22,7 @@ use gsn::container::ContainerConfig;
 use gsn::network::LinkSpec;
 use gsn::types::{DataType, Duration, SimulatedClock};
 use gsn::xml::{AddressSpec, InputStreamSpec, StreamSourceSpec, VirtualSensorDescriptor};
-use gsn::{Federation, GsnContainer, WindowSpec};
+use gsn::{GsnContainer, Mesh, WindowSpec};
 
 fn mote(name: &str, interval_ms: u32, seed: u32) -> VirtualSensorDescriptor {
     VirtualSensorDescriptor::builder(name)
@@ -114,7 +114,7 @@ fn main() {
     }
 
     // --- 4. Peer scraping over the federation wire ----------------------------------
-    let mut fed = Federation::new();
+    let mut fed = Mesh::new();
     let alpha = fed.add_node("alpha").unwrap();
     let beta = fed.add_node("beta").unwrap();
     fed.set_link(alpha, beta, LinkSpec::wireless(5, 0.1));

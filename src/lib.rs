@@ -14,7 +14,7 @@
 //! | [`storage`] | `gsn-storage` | windowed stream tables, the persistent page engine (buffer pool + WAL) and the storage manager |
 //! | [`xml`] | `gsn-xml` | XML parsing and virtual sensor deployment descriptors |
 //! | [`wrappers`] | `gsn-wrappers` | the wrapper trait, registry and simulated devices |
-//! | [`network`] | `gsn-network` | the simulated P2P network, directory, access control, integrity |
+//! | [`network`] | `gsn-network` | the simulated P2P network, wire messages, directory entries, access control |
 //! | [`container`] | `gsn-core` | the GSN container, virtual sensors, query manager, notifications, federation |
 //!
 //! The most common entry points are re-exported at the crate root.
@@ -90,8 +90,7 @@ pub use gsn_telemetry as telemetry;
 
 // Convenience re-exports of the most common entry points.
 pub use gsn_core::{
-    ContainerConfig, Federation, GsnContainer, Mesh, Notification, QueryCursor, RemoteQueryResult,
-    StepReport,
+    ContainerConfig, GsnContainer, Mesh, Notification, QueryCursor, RemoteQueryResult, StepReport,
 };
 pub use gsn_storage::WindowSpec;
 pub use gsn_types::{GsnError, GsnResult, StreamElement, Timestamp, Value};

@@ -1,12 +1,12 @@
-//! Integration tests for the peer-to-peer federation: discovery through the directory,
-//! remote virtual sensors across nodes, link quality, partitions and access control —
-//! plus the mesh tier: gossip-replicated directories, scatter-gather federated queries
-//! and cursor prefetch pipelining.
+//! Integration tests for the peer-to-peer mesh: discovery through each node's
+//! gossip-replicated directory (over the same lossy links as the data), remote virtual
+//! sensors across nodes, link quality and access control, scatter-gather federated
+//! queries and cursor prefetch pipelining.
 
 use gsn::network::{LinkSpec, Operation, Principal};
 use gsn::types::{DataType, Duration};
 use gsn::xml::{AddressSpec, InputStreamSpec, StreamSourceSpec, VirtualSensorDescriptor};
-use gsn::{Federation, Mesh, WindowSpec};
+use gsn::{Mesh, WindowSpec};
 use proptest::prelude::*;
 
 fn temperature_producer(name: &str, location: &str, interval_ms: u64) -> VirtualSensorDescriptor {
@@ -55,7 +55,7 @@ fn remote_consumer(name: &str, location: &str) -> VirtualSensorDescriptor {
 
 #[test]
 fn discovery_and_remote_streaming_between_nodes() {
-    let mut fed = Federation::new();
+    let mut fed = Mesh::new();
     let producer = fed.add_node("producer").unwrap();
     let consumer = fed.add_node("consumer").unwrap();
     fed.set_link(producer, consumer, LinkSpec::lan());
@@ -64,24 +64,24 @@ fn discovery_and_remote_streaming_between_nodes() {
         .unwrap()
         .deploy(temperature_producer("bc143-temp", "bc143", 200))
         .unwrap();
+    // Gossip carries the producer's entry to the consumer's replica.
+    fed.run_for(Duration::from_secs(1), Duration::from_millis(100));
     fed.node_mut(consumer)
         .unwrap()
         .deploy(remote_consumer("bc143-follower", "bc143"))
         .unwrap();
 
     // Directory-level discovery by arbitrary property combinations.
-    let by_type = fed
-        .directory()
-        .lookup(&[("type".into(), "temperature".into())]);
+    let directory = fed.node(consumer).unwrap();
+    let by_type = directory.replica_lookup(&[("type".into(), "temperature".into())]);
     assert_eq!(by_type.len(), 1);
-    let by_both = fed.directory().lookup(&[
+    let by_both = directory.replica_lookup(&[
         ("type".into(), "temperature".into()),
         ("location".into(), "bc143".into()),
     ]);
     assert_eq!(by_both.len(), 1);
-    assert!(fed
-        .directory()
-        .lookup(&[("location".into(), "elsewhere".into())])
+    assert!(directory
+        .replica_lookup(&[("location".into(), "elsewhere".into())])
         .is_empty());
 
     let report = fed.run_for(Duration::from_secs(5), Duration::from_millis(200));
@@ -112,21 +112,24 @@ fn discovery_and_remote_streaming_between_nodes() {
         "consumer saw only {consumed} of {produced} elements"
     );
 
-    // Undeploying the producer removes it from the directory.
+    // Undeploying the producer removes it from the directory, once its tombstone
+    // gossips to the consumer's replica.
     fed.node_mut(producer)
         .unwrap()
         .undeploy("bc143-temp")
         .unwrap();
+    fed.run_for(Duration::from_secs(1), Duration::from_millis(100));
     assert!(fed
-        .directory()
-        .lookup(&[("type".into(), "temperature".into())])
+        .node(consumer)
+        .unwrap()
+        .replica_lookup(&[("type".into(), "temperature".into())])
         .is_empty());
 }
 
 #[test]
 fn three_node_chain_of_remote_sensors() {
     // node A produces; node B averages A remotely; node C averages B remotely.
-    let mut fed = Federation::new();
+    let mut fed = Mesh::new();
     let a = fed.add_node("a").unwrap();
     let b = fed.add_node("b").unwrap();
     let c = fed.add_node("c").unwrap();
@@ -135,6 +138,7 @@ fn three_node_chain_of_remote_sensors() {
         .unwrap()
         .deploy(temperature_producer("origin", "floor-a", 200))
         .unwrap();
+    fed.run_for(Duration::from_secs(1), Duration::from_millis(100));
     // B's sensor both consumes remotely and is itself published with new metadata.
     let mut b_sensor = remote_consumer("floor-a-average", "floor-a");
     b_sensor.metadata = vec![
@@ -142,6 +146,7 @@ fn three_node_chain_of_remote_sensors() {
         ("location".to_owned(), "floor-a".to_owned()),
     ];
     fed.node_mut(b).unwrap().deploy(b_sensor).unwrap();
+    fed.run_for(Duration::from_secs(1), Duration::from_millis(100));
 
     let c_sensor = VirtualSensorDescriptor::builder("campus-view")
         .unwrap()
@@ -176,7 +181,7 @@ fn three_node_chain_of_remote_sensors() {
 
 #[test]
 fn lossy_links_still_deliver_a_usable_stream() {
-    let mut fed = Federation::new();
+    let mut fed = Mesh::new();
     let producer = fed.add_node("producer").unwrap();
     let consumer = fed.add_node("consumer").unwrap();
     fed.set_link(producer, consumer, LinkSpec::wireless(20, 0.3));
@@ -185,6 +190,8 @@ fn lossy_links_still_deliver_a_usable_stream() {
         .unwrap()
         .deploy(temperature_producer("lossy-origin", "roof", 100))
         .unwrap();
+    // Discovery crosses the lossy link too: gossip rounds repeat until the entry lands.
+    fed.run_for(Duration::from_secs(2), Duration::from_millis(100));
     fed.node_mut(consumer)
         .unwrap()
         .deploy(remote_consumer("roof-follower", "roof"))
@@ -209,7 +216,7 @@ fn lossy_links_still_deliver_a_usable_stream() {
 
 #[test]
 fn subscription_refused_by_access_control() {
-    let mut fed = Federation::new();
+    let mut fed = Mesh::new();
     let producer = fed.add_node("producer").unwrap();
     let consumer = fed.add_node("consumer").unwrap();
 
@@ -228,6 +235,7 @@ fn subscription_refused_by_access_control() {
         "vault-temp"
     ));
 
+    fed.run_for(Duration::from_secs(1), Duration::from_millis(100));
     fed.node_mut(consumer)
         .unwrap()
         .deploy(remote_consumer("vault-follower", "vault"))
@@ -554,7 +562,7 @@ fn wal_fault_on_one_node_is_observed_degraded_from_another() {
 
 /// Measures the simulated time a remote streaming query takes over a fixed row set.
 fn remote_query_millis(
-    fed: &mut Federation,
+    fed: &mut Mesh,
     client: gsn::types::NodeId,
     server: gsn::types::NodeId,
     prefetch: bool,
@@ -589,7 +597,7 @@ fn remote_query_millis(
 
 #[test]
 fn prefetch_pipelining_saves_at_least_one_rtt_per_query() {
-    let mut fed = Federation::new();
+    let mut fed = Mesh::new();
     let server = fed.add_node("server").unwrap();
     let client = fed.add_node("client").unwrap();
     // A high-latency WAN-ish link: 25 ms each way, no loss — the RTT dominates, which

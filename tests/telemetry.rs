@@ -24,7 +24,7 @@ use gsn::network::LinkSpec;
 use gsn::telemetry::{Histogram, SpanId};
 use gsn::types::{DataType, Duration, NodeId, SimulatedClock};
 use gsn::xml::{AddressSpec, InputStreamSpec, StreamSourceSpec, VirtualSensorDescriptor};
-use gsn::{Federation, GsnContainer, Mesh, WindowSpec};
+use gsn::{GsnContainer, Mesh, WindowSpec};
 use proptest::prelude::*;
 
 fn mote_descriptor(name: &str, interval_ms: u32, seed: u32) -> VirtualSensorDescriptor {
@@ -322,7 +322,7 @@ fn slow_query_log_captures_queries_over_the_threshold() {
 
 #[test]
 fn peers_scrape_metrics_snapshots_over_a_lossy_link() {
-    let mut fed = Federation::new();
+    let mut fed = Mesh::new();
     let alpha = fed.add_node("alpha").unwrap();
     let beta = fed.add_node("beta").unwrap();
     // A lossy wireless link in both directions: the scrape must survive retries.
