@@ -48,25 +48,9 @@ use crate::telemetry::QueryTelemetry;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ClientQueryId(pub u64);
 
-/// Stable shard assignment shared by the step loop (sensor names) and the query
-/// repository (table names): FNV-1a over the *normalised* name, modulo the shard count.
-///
-/// Normalisation lower-cases and maps `-` to `_`, so a sensor (`room-temp`) and its
-/// output table (`room_temp`) land on the same shard — the worker that produces a
-/// sensor's output owns the partition holding the queries that read it.
-pub fn shard_index(name: &str, shards: usize) -> usize {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in name.bytes() {
-        let byte = if byte == b'-' {
-            b'_'
-        } else {
-            byte.to_ascii_lowercase()
-        };
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (hash % shards.max(1) as u64) as usize
-}
+/// Stable shard assignment shared by the step loop (sensor names), the query
+/// repository (table names) and the WAL shards (durable table names).
+pub use gsn_storage::shard_index;
 
 /// A query registered by a client (subscription-style continuous query).
 #[derive(Debug, Clone)]

@@ -1,26 +1,27 @@
-//! Pluggable storage backends for [`crate::StreamTable`]: in-memory vectors or the
-//! persistent page engine.
+//! The [`StorageBackend`] trait behind [`crate::StreamTable`], and the persistent page
+//! engine that implements it.
 //!
 //! The paper's storage layer "provid[es] and manag[es] persistent storage for data
-//! streams" (Section 4) — the original GSN delegated this to MySQL tables.  GSN-RS keeps
-//! the same split behind one trait:
+//! streams" (Section 4) — the original GSN delegated this to MySQL tables.  GSN-RS has
+//! exactly two backends:
 //!
-//! * [`MemoryBackend`] — the seed behaviour: elements in a `Vec`, exact retention,
-//!   zero-copy window evaluation. Right for bounded source windows.
+//! * [`crate::ResidentBackend`] (in [`crate::spill`]) — elements in a `Vec`, exact
+//!   retention, zero-copy window evaluation; optionally spilling its cold prefix into a
+//!   log-less [`PersistentBackend`] cache store.  Every memory table uses it.
 //! * [`PersistentBackend`] — a segmented heap of slotted pages behind a bounded
-//!   [`SharedBufferPool`], with a write-ahead log for rows that have not reached a page
-//!   on disk yet.  Tables can grow far beyond RAM; windowed scans stream through the
-//!   pool.  Under a [`crate::StorageManager`] every durable table shares one
-//!   container-wide pool (global page budget, cross-table eviction).
-//!
-//! (The disk-spilled window backend, which combines both, lives in [`crate::spill`].)
+//!   [`SharedBufferPool`], with its rows logged under a tag of the container's
+//!   [`WalSet`] until they reach a page on disk.  Tables can grow far beyond RAM;
+//!   windowed scans stream through the pool.  Under a [`crate::StorageManager`] every
+//!   durable table shares one container-wide pool (global page budget, cross-table
+//!   eviction).
 //!
 //! ### Persistent write path
 //!
-//! `append` encodes the row once, logs it to the WAL (durability), then places it in the
-//! tail page inside the buffer pool (dirty pages reach disk on eviction or checkpoint).
+//! `append` encodes the row once, logs it to the WAL (durability; cache stores skip
+//! this), then places it in the tail page inside the buffer pool (dirty pages reach disk
+//! on eviction or checkpoint).
 //! A checkpoint — triggered by WAL growth or [`StorageBackend::flush`] — flushes dirty
-//! pages, fsyncs the heap, persists the prune watermark and resets the WAL.
+//! pages, fsyncs the heap, persists the prune watermark and clears the table's WAL tag.
 //! [`crate::StreamTable`] flushes on drop, so a cleanly dropped container checkpoints.
 //!
 //! ### Recovery
@@ -60,7 +61,7 @@ use crate::segment::{
     global_page_id, segment_of, SegmentedHeap, DEFAULT_SEGMENT_PAGES, MAX_SEGMENT_PAGES,
 };
 use crate::telemetry::StorageTelemetry;
-use crate::wal::{SyncMode, TableWal, Wal, WalSet};
+use crate::wal::{SyncMode, WalSet};
 use crate::window::WindowSpec;
 
 /// Which engine backs a table.
@@ -71,7 +72,7 @@ pub enum BackendKind {
     /// Elements in a segmented page file behind a buffer pool.
     Persistent,
     /// A memory-resident tail with the cold prefix spilled to a persistent segment
-    /// store (see [`crate::spill::SpillingBackend`]).
+    /// store (see [`crate::spill::ResidentBackend`]).
     Spilled,
 }
 
@@ -83,13 +84,14 @@ pub struct PersistentOptions {
     /// [`crate::StorageManager`] instead interprets it as the *container-wide* budget of
     /// the one [`SharedBufferPool`] every durable table shares.
     pub pool_pages: usize,
-    /// WAL durability mode.
+    /// WAL durability mode of the [`WalSet`] the [`crate::StorageManager`] builds.
     pub sync: SyncMode,
-    /// Auto-checkpoint once the WAL exceeds this many bytes.
+    /// Auto-checkpoint once the table's WAL tag exceeds this many bytes (also the
+    /// manager's shard-compaction threshold).
     pub wal_checkpoint_bytes: u64,
     /// Group commit: defer [`SyncMode::Always`] fsyncs to an explicit
-    /// [`StorageBackend::sync_wal`] (the container calls it once per step, amortising
-    /// one fsync across every row ingested in that step).
+    /// [`WalSet::commit`] (the container calls it once per step, amortising one fsync
+    /// per shard across every row ingested in that step).
     pub group_commit: bool,
     /// The shared buffer pool to register this table's pages with.  `None` gives the
     /// table a private pool of `pool_pages` frames (standalone use, tests).
@@ -97,11 +99,6 @@ pub struct PersistentOptions {
     /// Clock regions a *private* pool is split into (`0` = the pool's default).  A
     /// shared pool arrives already sharded; this knob only shapes the fallback.
     pub pool_regions: usize,
-    /// The container-wide sharded log set to append this table's WAL records to.
-    /// `None` keeps a private `<table>.wal` file (standalone use, tests).  When set,
-    /// the table joins the shard its name hashes to, and any pre-existing private log
-    /// is replayed and retired at the next checkpoint.
-    pub shared_wal: Option<Arc<WalSet>>,
     /// Pages per heap segment (clamped to `1..=`[`MAX_SEGMENT_PAGES`]).  Smaller
     /// segments reclaim space at a finer grain at the cost of more files; the default
     /// is ≈1 MiB per segment.
@@ -122,7 +119,6 @@ impl Default for PersistentOptions {
             group_commit: false,
             shared_pool: None,
             pool_regions: 0,
-            shared_wal: None,
             segment_pages: DEFAULT_SEGMENT_PAGES,
             telemetry: StorageTelemetry::default(),
         }
@@ -161,10 +157,6 @@ impl ScanBounds {
     }
 }
 
-/// Upper bound on elements per batch handed out by a memory-backend scan cursor
-/// (persistent cursors batch by page instead: one buffer-pool page per call).
-pub(crate) const MEMORY_SCAN_BATCH: usize = 1024;
-
 /// The resumable position of a pull-based scan started with
 /// [`StorageBackend::open_scan`].
 ///
@@ -179,15 +171,12 @@ pub struct ScanState(pub(crate) ScanStateInner);
 
 #[derive(Debug)]
 pub(crate) enum ScanStateInner {
-    /// Pre-materialised elements drained in bounded chunks (the empty scan).
-    Buffered {
-        elements: Vec<StreamElement>,
-        pos: usize,
-    },
-    /// Memory-backend (and spill-backend) scan tracked by *sequence bounds*: each batch
-    /// re-resolves its position with a binary search over the (monotonically sequenced)
-    /// element vector, so nothing is cloned up front — a `LIMIT` consumer copies only
-    /// the rows it pulls — and pruning between pulls shifts no indices.
+    /// A scan that selected nothing at open.
+    Empty,
+    /// Resident-store scan tracked by *sequence bounds*: each batch re-resolves its
+    /// position with a binary search over the (monotonically sequenced) element vector,
+    /// so nothing is cloned up front — a `LIMIT` consumer copies only the rows it pulls
+    /// — and pruning or spilling between pulls shifts no indices.
     Sequence { next_seq: u64, end_seq: u64 },
     /// Persistent scans walk the heap one page per batch through the buffer pool,
     /// tracked by *global row index*: each batch re-resolves the page currently holding
@@ -216,31 +205,14 @@ pub(crate) enum ScanStateInner {
 impl ScanState {
     /// A scan that yields nothing.
     pub(crate) fn empty() -> ScanState {
-        ScanState(ScanStateInner::Buffered {
-            elements: Vec::new(),
-            pos: 0,
-        })
+        ScanState(ScanStateInner::Empty)
     }
 
     /// A scan over the inclusive sequence range `[next_seq, end_seq]`, resolved lazily
-    /// per batch (the spill backend's cross-boundary cursor representation).
+    /// per batch (the resident store's cross-boundary cursor representation).
     pub(crate) fn sequence_range(next_seq: u64, end_seq: u64) -> ScanState {
         ScanState(ScanStateInner::Sequence { next_seq, end_seq })
     }
-}
-
-/// Drains the next bounded chunk of an up-front-selected element list.
-pub(crate) fn memory_scan_next(
-    elements: &[StreamElement],
-    pos: &mut usize,
-) -> Option<Vec<StreamElement>> {
-    if *pos >= elements.len() {
-        return None;
-    }
-    let end = (*pos + MEMORY_SCAN_BATCH).min(elements.len());
-    let batch = elements[*pos..end].to_vec();
-    *pos = end;
-    Some(batch)
 }
 
 /// The storage engine behind one stream table.
@@ -273,8 +245,8 @@ pub trait StorageBackend: Send + Sync + fmt::Debug {
     fn max_sequence(&self) -> u64;
 
     /// Streams the elements selected by `window` at `now`, oldest first, through
-    /// `visit`. Persistent backends read through the buffer pool; memory stays
-    /// zero-copy.
+    /// `visit`. Persistent backends read through the buffer pool; resident elements
+    /// stay zero-copy.
     fn scan_window(
         &self,
         window: WindowSpec,
@@ -316,7 +288,7 @@ pub trait StorageBackend: Send + Sync + fmt::Debug {
 
     /// Pulls the next batch of a scan started with [`open_scan`](Self::open_scan):
     /// at most one buffer-pool page worth of rows for persistent backends, a bounded
-    /// chunk for memory backends.  Returns `None` once the scan is exhausted.
+    /// chunk of resident elements otherwise.  Returns `None` once the scan is exhausted.
     fn scan_next(&self, state: &mut ScanState) -> GsnResult<Option<Vec<StreamElement>>>;
 
     /// Drops the oldest elements so that at most `keep` remain (persistent backends may
@@ -329,14 +301,6 @@ pub trait StorageBackend: Send + Sync + fmt::Debug {
 
     /// Forces all state to stable storage (checkpoint). No-op for memory tables.
     fn flush(&mut self) -> GsnResult<()>;
-
-    /// Commits any group-committed WAL appends still pending (the per-step batched
-    /// fsync; see [`PersistentOptions::group_commit`]).  Returns the number of records
-    /// the drained batch contained (0 for memory tables and tables on a shared
-    /// [`WalSet`], which the container commits once per step instead).
-    fn sync_wal(&mut self) -> GsnResult<u64> {
-        Ok(0)
-    }
 
     /// Reclaims file space held by rows below the prune watermark: deletes fully dead
     /// head segments and compacts the partially dead boundary segment (see
@@ -362,193 +326,6 @@ pub trait StorageBackend: Send + Sync + fmt::Debug {
 
     /// Removes any on-disk state (table dropped).
     fn destroy(self: Box<Self>) -> GsnResult<()>;
-}
-
-// ---------------------------------------------------------------------------------------
-// In-memory backend
-// ---------------------------------------------------------------------------------------
-
-/// The seed's storage: a plain vector with exact retention.
-#[derive(Debug, Default)]
-pub struct MemoryBackend {
-    elements: Vec<StreamElement>,
-    bytes: usize,
-}
-
-impl MemoryBackend {
-    /// An empty in-memory table.
-    pub fn new() -> MemoryBackend {
-        MemoryBackend::default()
-    }
-
-    fn drop_front(&mut self, count: usize) {
-        for e in &self.elements[..count] {
-            self.bytes = self.bytes.saturating_sub(e.size_bytes());
-        }
-        self.elements.drain(..count);
-    }
-}
-
-impl StorageBackend for MemoryBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Memory
-    }
-
-    fn append(&mut self, element: &StreamElement) -> GsnResult<()> {
-        self.bytes += element.size_bytes();
-        self.elements.push(element.clone());
-        Ok(())
-    }
-
-    fn len(&self) -> usize {
-        self.elements.len()
-    }
-
-    fn last(&self) -> Option<StreamElement> {
-        self.elements.last().cloned()
-    }
-
-    fn first_timestamp(&self) -> GsnResult<Option<Timestamp>> {
-        Ok(self.elements.first().map(StreamElement::timestamp))
-    }
-
-    fn retained_bytes(&self) -> usize {
-        self.bytes
-    }
-
-    fn max_sequence(&self) -> u64 {
-        self.elements
-            .last()
-            .map(StreamElement::sequence)
-            .unwrap_or(0)
-    }
-
-    fn scan_window(
-        &self,
-        window: WindowSpec,
-        now: Timestamp,
-        visit: &mut dyn FnMut(&StreamElement),
-    ) -> GsnResult<()> {
-        for element in window.select(&self.elements, now) {
-            visit(element);
-        }
-        Ok(())
-    }
-
-    fn open_scan(&self, window: WindowSpec, now: Timestamp) -> GsnResult<ScanState> {
-        let selected = window.select(&self.elements, now);
-        let (Some(first), Some(last)) = (selected.first(), selected.last()) else {
-            return Ok(ScanState::empty());
-        };
-        // Only the sequence bounds are captured; batches resolve their position
-        // lazily, so a consumer that stops pulling copies nothing further.
-        Ok(ScanState(ScanStateInner::Sequence {
-            next_seq: first.sequence(),
-            end_seq: last.sequence(),
-        }))
-    }
-
-    fn open_scan_bounded(
-        &self,
-        window: WindowSpec,
-        now: Timestamp,
-        bounds: &ScanBounds,
-    ) -> GsnResult<ScanState> {
-        let mut state = self.open_scan(window, now)?;
-        // Memory scans are cheap either way; sequence bounds still trim the
-        // cloned range (timestamp bounds stay with the executor's re-filter).
-        if let ScanStateInner::Sequence { next_seq, end_seq } = &mut state.0 {
-            if let Some(min_seq) = bounds.min_seq {
-                *next_seq = (*next_seq).max(min_seq);
-            }
-            if let Some(max_seq) = bounds.max_seq {
-                *end_seq = (*end_seq).min(max_seq);
-            }
-            // Sequences are dense in the live range, so a limit hint becomes an exact
-            // upper bound — unless a timestamp bound rides along (rows it drops fall
-            // below the cursor, so capping here could starve the consumer).
-            if bounds.min_ts.is_none() && bounds.max_ts.is_none() {
-                if let Some(limit) = bounds.limit {
-                    if limit == 0 {
-                        return Ok(ScanState::empty());
-                    }
-                    *end_seq = (*end_seq).min(next_seq.saturating_add(limit - 1));
-                }
-            }
-        }
-        Ok(state)
-    }
-
-    fn open_scan_after(&self, after: u64) -> GsnResult<ScanState> {
-        let end_seq = self.max_sequence();
-        if end_seq <= after {
-            return Ok(ScanState::empty());
-        }
-        Ok(ScanState(ScanStateInner::Sequence {
-            next_seq: after + 1,
-            end_seq,
-        }))
-    }
-
-    fn first_sequence(&self) -> GsnResult<Option<u64>> {
-        Ok(self.elements.first().map(StreamElement::sequence))
-    }
-
-    fn scan_next(&self, state: &mut ScanState) -> GsnResult<Option<Vec<StreamElement>>> {
-        match &mut state.0 {
-            ScanStateInner::Buffered { elements, pos } => Ok(memory_scan_next(elements, pos)),
-            ScanStateInner::Sequence { next_seq, end_seq } => {
-                // Sequences are assigned monotonically by the table, so the resume
-                // point binary-searches even after a front prune shifted indices.
-                let start = self.elements.partition_point(|e| e.sequence() < *next_seq);
-                let batch: Vec<StreamElement> = self.elements[start..]
-                    .iter()
-                    .take(MEMORY_SCAN_BATCH)
-                    .take_while(|e| e.sequence() <= *end_seq)
-                    .cloned()
-                    .collect();
-                match batch.last() {
-                    Some(last) => {
-                        *next_seq = last.sequence() + 1;
-                        Ok(Some(batch))
-                    }
-                    None => Ok(None),
-                }
-            }
-            ScanStateInner::Rows { .. } => Err(GsnError::storage(
-                "page scan state handed to a memory backend",
-            )),
-        }
-    }
-
-    fn prune_to_elements(&mut self, keep: usize) -> GsnResult<u64> {
-        let drop = self.elements.len().saturating_sub(keep);
-        if drop > 0 {
-            self.drop_front(drop);
-        }
-        Ok(drop as u64)
-    }
-
-    fn prune_horizon(&mut self, cutoff: Timestamp, min_keep: usize) -> GsnResult<u64> {
-        let by_time = self.elements.partition_point(|e| e.timestamp() < cutoff);
-        let drop = by_time.min(self.elements.len().saturating_sub(min_keep));
-        if drop > 0 {
-            self.drop_front(drop);
-        }
-        Ok(drop as u64)
-    }
-
-    fn flush(&mut self) -> GsnResult<()> {
-        Ok(())
-    }
-
-    fn pool_stats(&self) -> Option<BufferPoolStats> {
-        None
-    }
-
-    fn destroy(self: Box<Self>) -> GsnResult<()> {
-        Ok(())
-    }
 }
 
 // ---------------------------------------------------------------------------------------
@@ -682,7 +459,8 @@ impl Drop for PoolRegistration {
 #[derive(Debug)]
 struct Inner {
     heap: Arc<Mutex<SegmentedHeap>>,
-    wal: TableWal,
+    /// The log this table's rows go to under the tag `base`; `None` for a cache store.
+    wal: Option<Arc<WalSet>>,
     /// Data directory and sanitized file-name base — where segment files and
     /// their index sidecars live.
     dir: PathBuf,
@@ -739,12 +517,46 @@ impl fmt::Debug for PersistentBackend {
 }
 
 impl PersistentBackend {
-    /// Opens (creating or recovering) the table stored as `<dir>/<name>.NNNNNNNN.seg`
-    /// segments + `<dir>/<name>.wal`.
+    /// Opens (creating or recovering) the durable table stored as
+    /// `<dir>/<name>.NNNNNNNN.seg` segments, logging its rows under its tag in `wal`.
+    ///
+    /// A non-empty `<dir>/<name>.wal` — the private log of the pre-sharding layout — is
+    /// refused with an error naming it: it may hold acknowledged rows no shard log has.
     pub fn open(
         dir: &Path,
         name: &str,
         schema: Arc<StreamSchema>,
+        wal: Arc<WalSet>,
+        options: PersistentOptions,
+    ) -> GsnResult<PersistentBackend> {
+        let legacy = dir.join(format!("{}.wal", sanitize_file_name(name)));
+        if std::fs::metadata(&legacy).is_ok_and(|m| m.len() > 0) {
+            return Err(GsnError::storage(format!(
+                "durable table `{name}` has a non-empty per-table WAL {legacy:?} from the \
+                 pre-sharding layout; its rows are in no shard log, so the table is not opened"
+            )));
+        }
+        Self::open_with_log(dir, name, schema, Some(wal), options)
+    }
+
+    /// Opens a log-less *cache* store, wiping any segment files a previous incarnation
+    /// left behind — the disk-spilled window path, whose contents are rebuilt from live
+    /// stream data after a restart.
+    pub fn open_cache(
+        dir: &Path,
+        name: &str,
+        schema: Arc<StreamSchema>,
+        options: PersistentOptions,
+    ) -> GsnResult<PersistentBackend> {
+        SegmentedHeap::wipe(dir, &sanitize_file_name(name))?;
+        Self::open_with_log(dir, name, schema, None, options)
+    }
+
+    fn open_with_log(
+        dir: &Path,
+        name: &str,
+        schema: Arc<StreamSchema>,
+        wal: Option<Arc<WalSet>>,
         options: PersistentOptions,
     ) -> GsnResult<PersistentBackend> {
         std::fs::create_dir_all(dir)
@@ -752,27 +564,6 @@ impl PersistentBackend {
         let base = sanitize_file_name(name);
         let (heap, existed) =
             SegmentedHeap::create_or_open(dir, &base, Arc::clone(&schema), options.segment_pages)?;
-        let legacy_path = dir.join(format!("{base}.wal"));
-        let wal = match options.shared_wal.clone() {
-            Some(set) => {
-                // Joining a sharded log: a private file left by a pre-sharding
-                // incarnation stays readable until the next checkpoint retires it.
-                let legacy = match legacy_path.exists() {
-                    true => Some(Wal::open(&legacy_path, options.sync)?),
-                    false => None,
-                };
-                TableWal::Shared {
-                    set,
-                    tag: base.clone(),
-                    legacy,
-                }
-            }
-            None => {
-                let mut own = Wal::open(&legacy_path, options.sync)?;
-                own.set_group_commit(options.group_commit)?;
-                TableWal::Own(own)
-            }
-        };
 
         // Rows below the persisted watermark — or below the first surviving segment
         // (head segments deleted by a previous incarnation's reclamation) — are dead.
@@ -809,48 +600,32 @@ impl PersistentBackend {
             wal,
         };
 
+        let wal = inner.wal.clone();
         if existed {
             inner.rebuild_index()?;
             let heap_max_sequence = inner.max_sequence;
             // Replay WAL rows the heap does not have yet.
-            for record in inner.wal.replay()? {
+            let records = match &wal {
+                Some(wal) => wal.replay_for(&inner.base)?,
+                None => Vec::new(),
+            };
+            for record in records {
                 let mut cursor: &[u8] = &record;
                 let element = codec::decode_row(&mut cursor, &inner.schema)?;
                 if element.sequence() > heap_max_sequence {
                     inner.append_to_pages(&record, &element)?;
                 }
             }
-        } else if inner.wal.len_bytes() > 0 {
-            // Fresh table next to stale WAL records from a dropped predecessor: clear
-            // them (shared logs write a durable tombstone so they never resurrect).
-            inner.wal.clear_stale()?;
+        } else if let Some(wal) = wal.filter(|wal| wal.tag_bytes(&inner.base) > 0) {
+            // Fresh table next to stale records from a dropped predecessor: a durable
+            // tombstone makes sure they never resurrect.
+            wal.drop_tag(&inner.base)?;
         }
         inner.refresh_first_live_pos();
 
         Ok(PersistentBackend {
             inner: Mutex::new(inner),
         })
-    }
-
-    /// Opens the table as a *fresh* store, wiping any segment/WAL files a previous
-    /// incarnation left behind — the disk-spilled window path, whose contents are a
-    /// rebuildable cache of live stream data.
-    pub fn open_fresh(
-        dir: &Path,
-        name: &str,
-        schema: Arc<StreamSchema>,
-        options: PersistentOptions,
-    ) -> GsnResult<PersistentBackend> {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| GsnError::storage(format!("cannot create data directory {dir:?}: {e}")))?;
-        let base = sanitize_file_name(name);
-        SegmentedHeap::wipe(dir, &base)?;
-        match std::fs::remove_file(dir.join(format!("{base}.wal"))) {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(GsnError::storage(format!("cannot wipe stale WAL: {e}"))),
-        }
-        PersistentBackend::open(dir, name, schema, options)
     }
 
     /// Resident page count, capacity, and hit/eviction counters of the pool.
@@ -1054,6 +829,11 @@ impl Inner {
 
     fn live_rows(&self) -> u64 {
         self.total_rows.saturating_sub(self.logical_start)
+    }
+
+    /// Un-checkpointed bytes this table holds in its WAL tag (0 for a cache store).
+    fn log_bytes(&self) -> u64 {
+        self.wal.as_ref().map_or(0, |wal| wal.tag_bytes(&self.base))
     }
 
     /// Appends an encoded row to the tail page(s) through the pool (WAL already written
@@ -1468,8 +1248,8 @@ impl Inner {
         }
     }
 
-    /// Checkpoint: pages to disk, prune watermark to the tail segment header, WAL
-    /// records retired (an own log truncates; a shared-log tag is logically cleared).
+    /// Checkpoint: pages to disk, prune watermark to the tail segment header, the WAL
+    /// tag logically cleared.
     fn checkpoint(&mut self) -> GsnResult<()> {
         self.pool.flush_table(self.table_id)?;
         {
@@ -1478,7 +1258,10 @@ impl Inner {
             heap.sync()?;
         }
         self.write_missing_sidecars()?;
-        self.wal.checkpoint()
+        match &self.wal {
+            Some(wal) => wal.checkpoint_tag(&self.base),
+            None => Ok(()),
+        }
     }
 
     /// Persists an index sidecar for every sealed (non-tail) segment that does
@@ -1648,7 +1431,7 @@ impl Inner {
             }
         }
         DiskUsage {
-            on_disk_bytes: heap.file_bytes() + self.wal.len_bytes(),
+            on_disk_bytes: heap.file_bytes() + self.log_bytes(),
             live_segments,
             total_segments: heap.segment_count() as u64,
             reclaimed_bytes: self.reclaim_totals.bytes_reclaimed,
@@ -1741,9 +1524,11 @@ impl StorageBackend for PersistentBackend {
     fn append(&mut self, element: &StreamElement) -> GsnResult<()> {
         let inner = self.inner.get_mut();
         let record = codec::encode_row(element);
-        inner.wal.append(&record)?;
+        if let Some(wal) = &inner.wal {
+            wal.append(&inner.base, &record)?;
+        }
         inner.append_to_pages(&record, element)?;
-        if inner.wal.len_bytes() > inner.options.wal_checkpoint_bytes {
+        if inner.log_bytes() > inner.options.wal_checkpoint_bytes {
             inner.checkpoint()?;
         }
         Ok(())
@@ -1893,10 +1678,9 @@ impl StorageBackend for PersistentBackend {
 
     fn scan_next(&self, state: &mut ScanState) -> GsnResult<Option<Vec<StreamElement>>> {
         match &mut state.0 {
-            // The empty-at-open case; yields nothing.
-            ScanStateInner::Buffered { elements, pos } => Ok(memory_scan_next(elements, pos)),
+            ScanStateInner::Empty => Ok(None),
             ScanStateInner::Sequence { .. } => Err(GsnError::storage(
-                "memory scan state handed to a persistent backend",
+                "resident scan state handed to a persistent backend",
             )),
             ScanStateInner::Rows {
                 next_row,
@@ -1956,10 +1740,6 @@ impl StorageBackend for PersistentBackend {
         self.inner.get_mut().checkpoint()
     }
 
-    fn sync_wal(&mut self) -> GsnResult<u64> {
-        self.inner.get_mut().wal.commit()
-    }
-
     fn reclaim(&mut self) -> GsnResult<ReclaimStats> {
         self.inner.get_mut().reclaim()
     }
@@ -1989,14 +1769,18 @@ impl StorageBackend for PersistentBackend {
             .into_inner();
         heap.destroy()?;
         index::remove_all_sidecars(&dir, &format!("{base}."));
-        wal.destroy()
+        match wal {
+            Some(wal) => wal.drop_tag(&base),
+            None => Ok(()),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::temp_dir;
+    use crate::spill::ResidentBackend;
+    use crate::testutil::{table_files, temp_dir, wal_set};
     use gsn_types::{DataType, Value};
 
     fn schema() -> Arc<StreamSchema> {
@@ -2021,6 +1805,7 @@ mod tests {
             dir,
             "t",
             schema(),
+            wal_set(dir),
             PersistentOptions {
                 pool_pages,
                 ..Default::default()
@@ -2094,7 +1879,7 @@ mod tests {
             let mut b: Box<dyn StorageBackend> = if persistent {
                 Box::new(open(&dir, 4))
             } else {
-                Box::new(MemoryBackend::new())
+                Box::new(ResidentBackend::default())
             };
             let s = schema();
             for i in 1..=200 {
@@ -2129,7 +1914,7 @@ mod tests {
             let mut b: Box<dyn StorageBackend> = if persistent {
                 Box::new(open(&dir, 4))
             } else {
-                Box::new(MemoryBackend::new())
+                Box::new(ResidentBackend::default())
             };
             let s = schema();
             for i in 1..=300 {
@@ -2301,7 +2086,7 @@ mod tests {
         let mut b = open(&dir, 4);
         b.append(&element(&s, 1, 1, 8)).unwrap();
         Box::new(b).destroy().unwrap();
-        assert!(std::fs::read_dir(&dir).unwrap().next().is_none());
+        assert!(table_files(&dir).is_empty());
     }
 
     fn collect_cursor(b: &dyn StorageBackend, window: WindowSpec, now: Timestamp) -> Vec<i64> {
@@ -2321,7 +2106,7 @@ mod tests {
     fn cursor_scan_matches_window_scan() {
         let dir = temp_dir("backend-cursor-parity");
         let s = schema();
-        let mut mem = MemoryBackend::new();
+        let mut mem = ResidentBackend::default();
         let mut per = open(&dir, 4);
         for i in 1..=800 {
             mem.append(&element(&s, i, i * 10, 24)).unwrap();
@@ -2365,7 +2150,7 @@ mod tests {
     fn zero_count_window_scans_nothing() {
         let dir = temp_dir("backend-cursor-zero");
         let s = schema();
-        let mut mem = MemoryBackend::new();
+        let mut mem = ResidentBackend::default();
         let mut per = open(&dir, 4);
         for i in 1..=5 {
             mem.append(&element(&s, i, i, 8)).unwrap();
@@ -2428,6 +2213,7 @@ mod tests {
             dir,
             "t",
             schema(),
+            wal_set(dir),
             PersistentOptions {
                 pool_pages,
                 segment_pages,
@@ -2565,9 +2351,9 @@ mod tests {
     }
 
     #[test]
-    fn memory_backend_matches_seed_semantics() {
+    fn resident_backend_matches_seed_semantics() {
         let s = schema();
-        let mut b = MemoryBackend::new();
+        let mut b = ResidentBackend::default();
         for i in 1..=10 {
             b.append(&element(&s, i, i * 100, 4)).unwrap();
         }
@@ -2590,7 +2376,7 @@ mod tests {
     fn bounded_scan_clamps_to_the_sequence_range() {
         let dir = temp_dir("backend-bounds-seq");
         let s = schema();
-        let mut mem = MemoryBackend::new();
+        let mut mem = ResidentBackend::default();
         let mut per = open(&dir, 4);
         for i in 1..=2_000 {
             mem.append(&element(&s, i, i, 64)).unwrap();
@@ -2638,6 +2424,7 @@ mod tests {
             &dir,
             "t",
             s.clone(),
+            wal_set(&dir),
             PersistentOptions {
                 pool_pages: 4,
                 telemetry: telemetry.clone(),
@@ -2735,6 +2522,6 @@ mod tests {
         // Destroy leaves no sidecar behind.
         let b = open_segmented(&dir, 4, 2);
         Box::new(b).destroy().unwrap();
-        assert!(std::fs::read_dir(&dir).unwrap().next().is_none());
+        assert!(table_files(&dir).is_empty());
     }
 }

@@ -15,13 +15,15 @@
 //! * `permanent-storage="true"` mapping to [`Retention::Unbounded`],
 //! * implicit `PK` / `TIMED` columns exposed to SQL.
 //!
-//! ## Architecture: two backends behind one table
+//! ## Architecture: one resident store, one persistent engine
 //!
-//! Every [`StreamTable`] delegates element storage to a [`StorageBackend`]:
+//! Every [`StreamTable`] delegates element storage to one of exactly two
+//! [`StorageBackend`]s:
 //!
-//! * **In-memory** ([`MemoryBackend`]) — the default and the seed behaviour: a `Vec` of
-//!   elements with exact retention and zero-copy window evaluation.  Right for the small
-//!   bounded windows of stream sources.
+//! * **Resident** ([`ResidentBackend`]) — every memory table: a `Vec` of elements with
+//!   exact retention and zero-copy window evaluation.  Right for the small bounded
+//!   windows of stream sources; with a spill budget it also moves its cold prefix into
+//!   a log-less segment store (see below).
 //! * **Persistent** ([`PersistentBackend`]) — chosen per table from the descriptor's
 //!   `permanent-storage` / `backend` attributes when the container has a data directory.
 //!   History survives restarts and can grow far beyond RAM.
@@ -45,15 +47,17 @@
 //!   segments are deleted and the boundary segment is compacted, so long-lived bounded
 //!   tables stop growing forever.
 //! * **Disk-spilled windows** ([`spill`]): a memory table whose resident bytes exceed
-//!   the configured budget moves its cold prefix into a persistent segment store, so
-//!   `storage-size="30d"` windows query in bounded memory through the shared pool.
+//!   the configured budget moves its cold prefix into a persistent segment store — a
+//!   cache with no write-ahead log, wiped at restart — so `storage-size="30d"` windows
+//!   query in bounded memory through the shared pool.
 //! * **Buffer pool** ([`buffer`]): one bounded, thread-safe frame cache per container
 //!   ([`SharedBufferPool`]) with clock (second-chance) eviction *across tables* and
 //!   pin/unpin.  Pinned pages are never evicted; resident pages never exceed the
 //!   container-wide budget, so scans over tables larger than the pool run in bounded
 //!   memory even with hundreds of sensors.
-//! * **Write-ahead log** ([`wal`]): `<table>.wal`, CRC-framed rows appended before the
-//!   page write.  [`SyncMode`] picks the durability/throughput trade-off.
+//! * **Write-ahead log** ([`wal`]): one layout — every durable table appends CRC-framed
+//!   rows under its tag in the container's [`WalSet`] of `wal-shard-NNNN.wal` files
+//!   before the page write.  [`SyncMode`] picks the durability/throughput trade-off.
 //!
 //! **Recovery semantics**: completed pages are written through immediately, so the heap
 //! on disk is always a gap-free prefix of the table; the WAL holds everything since the
@@ -126,8 +130,7 @@ pub mod wal;
 pub mod window;
 
 pub use backend::{
-    BackendKind, MemoryBackend, PersistentBackend, PersistentOptions, ScanBounds, ScanState,
-    StorageBackend,
+    BackendKind, PersistentBackend, PersistentOptions, ScanBounds, ScanState, StorageBackend,
 };
 pub use buffer::{BufferPoolStats, PageIo, RegionStats, SharedBufferPool, TableId};
 pub use heap::HeapFile;
@@ -135,9 +138,9 @@ pub use manager::{CatalogView, LiveCatalog, StorageManager, StorageOptions, Stre
 pub use page::{Page, PageId, PAGE_SIZE};
 pub use retention::{DiskUsage, MaintenanceReport, MaintenanceTotals, ReclaimStats};
 pub use segment::{SegmentedHeap, DEFAULT_SEGMENT_PAGES, MAX_SEGMENT_PAGES};
-pub use spill::{SpillOptions, SpillingBackend};
+pub use spill::{ResidentBackend, SpillOptions};
 pub use stats::{StorageStats, TableDiskStats, TableStats};
 pub use table::{sampling_stride, StreamTable};
 pub use telemetry::StorageTelemetry;
-pub use wal::{shard_index, ShardCommit, SyncMode, TableWal, Wal, WalSet};
+pub use wal::{shard_index, ShardCommit, SyncMode, Wal, WalSet};
 pub use window::{Retention, WindowSpec};

@@ -27,7 +27,7 @@ use crate::spill::SpillOptions;
 use crate::stats::{StorageStats, TableDiskStats};
 use crate::table::StreamTable;
 use crate::telemetry::StorageTelemetry;
-use crate::wal::{SyncMode, WalSet};
+use crate::wal::WalSet;
 use crate::window::{Retention, WindowSpec};
 use gsn_telemetry::Stopwatch;
 
@@ -45,11 +45,10 @@ pub struct StorageOptions {
     /// large time windows (`storage-size="30d"`) query in bounded memory.  `None`
     /// keeps the seed behaviour (windows stay fully resident).
     pub window_spill_bytes: Option<usize>,
-    /// Shards of the container-wide shared WAL (one log file per step-loop shard,
-    /// multiplexing every durable table; see [`WalSet`]).  `0` keeps the seed
-    /// behaviour: one private `<table>.wal` per durable table, one fsync per table at
-    /// group commit.  The container passes its worker count, so the per-step commit
-    /// fsyncs at most once per *active shard* instead of once per table.
+    /// Shards of the container-wide WAL (one log file per step-loop shard,
+    /// multiplexing every durable table; see [`WalSet`]); `0` means one shard.  The
+    /// container passes its worker count, so the per-step commit fsyncs at most once
+    /// per *active shard* however many durable tables ingested.
     pub wal_shards: usize,
 }
 
@@ -64,7 +63,7 @@ impl StorageOptions {
         }
     }
 
-    /// Enables the sharded container-wide WAL with `shards` log files.
+    /// Sets the number of container-wide WAL shard files.
     pub fn with_wal_shards(mut self, shards: usize) -> StorageOptions {
         self.wal_shards = shards;
         self
@@ -85,8 +84,8 @@ pub struct StorageManager {
     /// The container-wide page budget every durable table shares
     /// (`options.persistent.pool_pages` frames in total, cross-table eviction).
     pool: Arc<SharedBufferPool>,
-    /// The sharded container-wide WAL durable tables append to, when enabled
-    /// ([`StorageOptions::wal_shards`] > 0 and a data directory is configured).
+    /// The sharded container-wide WAL every durable table appends to (present
+    /// whenever a data directory is configured).
     wal_set: Option<Arc<WalSet>>,
     /// Lifetime counters of the retention maintenance pass.
     maintenance: Mutex<MaintenanceTotals>,
@@ -116,16 +115,15 @@ impl StorageManager {
             0 => SharedBufferPool::new(options.persistent.pool_pages),
             n => SharedBufferPool::with_regions(options.persistent.pool_pages, n),
         });
-        let wal_set = match (&options.data_dir, options.wal_shards) {
-            (Some(dir), shards) if shards > 0 => Some(Arc::new(WalSet::new(
+        let wal_set = options.data_dir.as_ref().map(|dir| {
+            Arc::new(WalSet::new(
                 dir.clone(),
-                shards,
+                options.wal_shards.max(1),
                 options.persistent.sync,
                 options.persistent.group_commit,
                 options.persistent.wal_checkpoint_bytes.max(1),
-            ))),
-            _ => None,
-        };
+            ))
+        });
         StorageManager {
             tables: RwLock::new(HashMap::new()),
             options,
@@ -195,22 +193,21 @@ impl StorageManager {
         schema: Arc<StreamSchema>,
         retention: Retention,
     ) -> GsnResult<Arc<RwLock<StreamTable>>> {
-        let table = match &self.options.data_dir {
-            Some(dir) => {
+        let table = match (&self.options.data_dir, &self.wal_set) {
+            (Some(dir), Some(wal)) => {
                 let options = PersistentOptions {
                     shared_pool: Some(Arc::clone(&self.pool)),
-                    shared_wal: self.wal_set.clone(),
                     telemetry: self.telemetry.clone(),
                     ..self.options.persistent.clone()
                 };
-                StreamTable::persistent(name, schema, retention, dir, options)?
+                StreamTable::persistent(name, schema, retention, dir, Arc::clone(wal), options)?
             }
-            None => StreamTable::new(name, schema, retention),
+            _ => StreamTable::new(name, schema, retention),
         };
         self.register_table(name, table)
     }
 
-    /// The sharded container-wide WAL, when enabled.
+    /// The sharded container-wide WAL, when a data directory is configured.
     pub fn wal_set(&self) -> Option<&Arc<WalSet>> {
         self.wal_set.as_ref()
     }
@@ -269,61 +266,29 @@ impl StorageManager {
         Ok(())
     }
 
-    /// Group commit: fsyncs every WAL with group-committed appends still pending.  The
-    /// container calls this once per step.  Tables on private logs drain their own
-    /// batch (one fsync per table); tables on the shared [`WalSet`] are drained by one
-    /// set-wide commit — one write and at most one fsync per *active shard*, however
-    /// many tables ingested this step.
+    /// Group commit: drains every WAL shard with group-committed appends still pending —
+    /// one write and at most one fsync per *active shard*, however many tables ingested
+    /// this step.  The container calls this once per step.
     ///
-    /// Every log is attempted even when one fails — a transient error on one WAL must
-    /// not leave the other tables' acknowledged rows unsynced past the step boundary.
+    /// Every shard is attempted even when one fails — a transient error on one log must
+    /// not leave the other shards' acknowledged rows unsynced past the step boundary.
     /// The first error is returned.
     pub fn group_commit(&self) -> GsnResult<()> {
-        let mut first_error = None;
-        for table in self.tables.read().values() {
-            let mut guard = table.write();
-            let timed = guard.backend_kind() == BackendKind::Persistent;
-            let sw = Stopwatch::start();
-            match guard.sync_wal() {
-                Ok(records) => {
-                    if records > 0 {
-                        self.telemetry.wal_batch_records.record(records);
-                        if self.options.persistent.sync == SyncMode::Always {
-                            self.telemetry.wal_fsyncs.add(1);
-                        }
-                    }
-                }
-                Err(e) => {
-                    first_error.get_or_insert(e);
-                }
-            }
-            if timed {
-                self.telemetry.wal_sync_micros.record(sw.elapsed_micros());
+        let Some(set) = &self.wal_set else {
+            return Ok(());
+        };
+        let sw = Stopwatch::start();
+        let commits = set.commit()?;
+        if !commits.is_empty() {
+            self.telemetry.wal_sync_micros.record(sw.elapsed_micros());
+        }
+        for commit in commits {
+            self.telemetry.wal_batch_records.record(commit.records);
+            if commit.synced {
+                self.telemetry.wal_fsyncs.add(1);
             }
         }
-        if let Some(set) = &self.wal_set {
-            let sw = Stopwatch::start();
-            match set.commit() {
-                Ok(commits) => {
-                    if !commits.is_empty() {
-                        self.telemetry.wal_sync_micros.record(sw.elapsed_micros());
-                    }
-                    for commit in commits {
-                        self.telemetry.wal_batch_records.record(commit.records);
-                        if commit.synced {
-                            self.telemetry.wal_fsyncs.add(1);
-                        }
-                    }
-                }
-                Err(e) => {
-                    first_error.get_or_insert(e);
-                }
-            }
-        }
-        match first_error {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        Ok(())
     }
 
     /// Looks a table up by name.
@@ -357,13 +322,13 @@ impl StorageManager {
         let table = self.table(table)?;
         let sw = Stopwatch::start();
         let mut guard = table.write();
-        let durable = guard.backend_kind() != BackendKind::Memory;
+        let logged = guard.is_persistent();
         let inserted = guard.insert(element, now);
         drop(guard);
         let micros = sw.elapsed_micros();
         self.telemetry.insert_micros.record(micros);
-        if durable {
-            // For durable tables the insert path is WAL append + page write.
+        if logged {
+            // Only durable tables log: their insert path is WAL append + page write.
             self.telemetry.wal_append_micros.record(micros);
         }
         inserted
@@ -1024,6 +989,27 @@ mod tests {
         assert_eq!(stats.retained_elements, 10);
         assert_eq!(stats.totals.inserted, 10);
         assert!(stats.retained_bytes > 0);
+    }
+
+    #[test]
+    fn only_logged_inserts_time_the_wal_append() {
+        let dir = crate::testutil::temp_dir("manager-wal-append");
+        let m = StorageManager::with_options(StorageOptions::at(&dir).with_window_spill(64));
+        m.create_table("window", schema(), Retention::Unbounded)
+            .unwrap();
+        m.create_table_durable("history", schema(), Retention::Unbounded)
+            .unwrap();
+        let appends = &m.telemetry().wal_append_micros;
+        for i in 0..20 {
+            let e = StreamElement::new(schema(), vec![Value::Integer(i)], Timestamp(i)).unwrap();
+            m.insert("window", e, Timestamp(i)).unwrap();
+        }
+        assert_eq!(m.stats().spilled_tables, 1);
+        assert!(m.stats().spilled_rows > 0, "the window must have spilled");
+        assert_eq!(appends.count(), 0, "a spilled window writes no log");
+        let e = StreamElement::new(schema(), vec![Value::Integer(1)], Timestamp(1)).unwrap();
+        m.insert("history", e, Timestamp(1)).unwrap();
+        assert_eq!(appends.count(), 1);
     }
 
     #[test]

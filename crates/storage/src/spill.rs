@@ -1,14 +1,14 @@
-//! Disk-spilled time windows: a memory-resident tail with the cold prefix spilled to a
-//! persistent segment store.
+//! The resident store: every memory table's elements in a vector, with an optional cold
+//! prefix spilled to a persistent segment store.
 //!
-//! Source windows are memory-backed by design — they are bounded by their declared
-//! window and rebuilt from live data after a restart.  But a window like
-//! `storage-size="30d"` holds weeks of history, far beyond RAM.  [`SpillingBackend`]
-//! keeps such a table *logically* in memory while bounding its resident footprint: the
-//! newest elements stay in a plain vector (the hot path — window tails, `LatestOnly`,
-//! small count windows — never touches disk), and once the resident bytes exceed the
-//! configured budget the oldest half is moved into a [`PersistentBackend`] segment
-//! store shared with the container's buffer pool.
+//! [`ResidentBackend`] is the only in-memory [`StorageBackend`].  Built with
+//! [`ResidentBackend::default`] it is a plain memory table: exact retention, zero-copy
+//! window evaluation, nothing on disk.  Built with [`ResidentBackend::spilling`] it also
+//! bounds its resident footprint, for windows like `storage-size="30d"` that hold weeks
+//! of history far beyond RAM: the newest elements stay in the vector (the hot path —
+//! window tails, `LatestOnly`, small count windows — never touches disk), and once the
+//! resident bytes exceed the configured budget the oldest half is moved into a
+//! [`PersistentBackend`] cache store shared with the container's buffer pool.
 //!
 //! Scans are seamless across the spilled/resident boundary.  Sequences are assigned
 //! contiguously by the owning [`crate::StreamTable`], and elements spill strictly in
@@ -17,10 +17,10 @@
 //! resident vector above it — re-resolved per pull, so concurrent spilling, pruning
 //! and segment reclamation between batches never invalidate a cursor.
 //!
-//! The spill store is a *cache of live stream data*: its WAL is disabled
-//! ([`SyncMode::Disabled`]) and any files left by a previous incarnation are wiped at
-//! creation — a restarted container rebuilds the window from scratch, exactly like a
-//! plain memory table.
+//! The cold store is a *cache of live stream data*: it is opened with
+//! [`PersistentBackend::open_cache`], which has no write-ahead log, and any files left
+//! by a previous incarnation are wiped at creation — a restarted container rebuilds the
+//! window from scratch, exactly like a plain memory table.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -29,14 +29,17 @@ use std::sync::Arc;
 use gsn_types::{GsnError, GsnResult, StreamElement, StreamSchema, Timestamp};
 
 use crate::backend::{
-    memory_scan_next, sanitize_file_name, BackendKind, PersistentBackend, PersistentOptions,
-    ScanBounds, ScanState, ScanStateInner, StorageBackend, MEMORY_SCAN_BATCH,
+    sanitize_file_name, BackendKind, PersistentBackend, PersistentOptions, ScanBounds, ScanState,
+    ScanStateInner, StorageBackend,
 };
 use crate::buffer::BufferPoolStats;
 use crate::retention::{DiskUsage, ReclaimStats};
 use crate::segment::SegmentedHeap;
-use crate::wal::SyncMode;
 use crate::window::WindowSpec;
+
+/// Upper bound on elements per batch handed out by a resident scan cursor (persistent
+/// cursors batch by page instead: one buffer-pool page per call).
+const RESIDENT_SCAN_BATCH: usize = 1024;
 
 /// Tuning for a disk-spilled window table.
 #[derive(Debug, Clone)]
@@ -44,8 +47,8 @@ pub struct SpillOptions {
     /// Resident-memory budget in payload bytes: exceeding it moves the oldest half of
     /// the resident elements into the segment store.
     pub budget_bytes: usize,
-    /// Segment-store tuning (pool sharing, segment size).  `sync` and `group_commit`
-    /// are overridden — the spill store never needs durability.
+    /// Segment-store tuning (pool sharing, segment size).  The log settings are
+    /// unused — the cache store has no log.
     pub persistent: PersistentOptions,
 }
 
@@ -59,16 +62,24 @@ impl SpillOptions {
     }
 }
 
-/// A stream table whose cold prefix lives in a persistent segment store and whose hot
-/// tail stays resident (see the module docs).
-pub struct SpillingBackend {
-    name: String,
+/// Where and when a spilling table moves its cold prefix.
+struct Spill {
     dir: PathBuf,
+    /// The cold store's name (`<table>__spill`).
+    store: String,
     schema: Arc<StreamSchema>,
     options: SpillOptions,
+}
+
+/// A stream table whose hot tail stays resident and whose cold prefix, when spilling is
+/// configured, lives in a persistent cache store (see the module docs).
+#[derive(Default)]
+pub struct ResidentBackend {
     /// The hot tail, oldest first; all elements newer than everything in `cold`.
     resident: Vec<StreamElement>,
     resident_bytes: usize,
+    /// `None` keeps every element resident (a plain memory table).
+    spill: Option<Spill>,
     /// The cold prefix; created lazily at the first spill.
     cold: Option<PersistentBackend>,
     /// Lifetime count of elements moved to disk.
@@ -77,58 +88,50 @@ pub struct SpillingBackend {
     spill_migrations: u64,
 }
 
-impl fmt::Debug for SpillingBackend {
+impl fmt::Debug for ResidentBackend {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "SpillingBackend({}: {} resident ({} B of {} B budget), {} cold, {} spilled)",
-            self.name,
+            "ResidentBackend({} resident, {} B",
             self.resident.len(),
-            self.resident_bytes,
-            self.options.budget_bytes,
-            self.cold.as_ref().map(|c| c.len()).unwrap_or(0),
-            self.spilled_rows,
-        )
+            self.resident_bytes
+        )?;
+        if let Some(spill) = &self.spill {
+            write!(
+                f,
+                "; {}: {} B budget, {} cold, {} spilled",
+                spill.store,
+                spill.options.budget_bytes,
+                self.cold_live(),
+                self.spilled_rows
+            )?;
+        }
+        write!(f, ")")
     }
 }
 
-impl SpillingBackend {
+impl ResidentBackend {
     /// Creates a spill-capable table rooted at `dir`.  Stale spill files from a
     /// previous incarnation are wiped immediately (the window starts empty).
-    pub fn create(
+    pub fn spilling(
         dir: &Path,
         name: &str,
         schema: Arc<StreamSchema>,
         options: SpillOptions,
-    ) -> GsnResult<SpillingBackend> {
+    ) -> GsnResult<ResidentBackend> {
         std::fs::create_dir_all(dir)
             .map_err(|e| GsnError::storage(format!("cannot create data directory {dir:?}: {e}")))?;
-        let store = Self::store_name(name);
+        let store = format!("{name}__spill");
         SegmentedHeap::wipe(dir, &sanitize_file_name(&store))?;
-        match std::fs::remove_file(dir.join(format!("{}.wal", sanitize_file_name(&store)))) {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => {
-                return Err(GsnError::storage(format!(
-                    "cannot wipe stale spill WAL: {e}"
-                )))
-            }
-        }
-        Ok(SpillingBackend {
-            name: name.to_owned(),
-            dir: dir.to_owned(),
-            schema,
-            options,
-            resident: Vec::new(),
-            resident_bytes: 0,
-            cold: None,
-            spilled_rows: 0,
-            spill_migrations: 0,
+        Ok(ResidentBackend {
+            spill: Some(Spill {
+                dir: dir.to_owned(),
+                store,
+                schema,
+                options,
+            }),
+            ..ResidentBackend::default()
         })
-    }
-
-    fn store_name(name: &str) -> String {
-        format!("{name}__spill")
     }
 
     /// Lifetime count of elements moved to the segment store.
@@ -161,21 +164,16 @@ impl SpillingBackend {
     /// bytes drop to half the budget (hysteresis: spilling happens in batches, not per
     /// insert).
     fn spill_cold_prefix(&mut self) -> GsnResult<()> {
-        let target = self.options.budget_bytes / 2;
+        let Some(spill) = &self.spill else {
+            return Ok(());
+        };
+        let target = spill.options.budget_bytes / 2;
         if self.cold.is_none() {
-            let options = PersistentOptions {
-                sync: SyncMode::Disabled,
-                group_commit: false,
-                // A spilled window is a rebuildable cache: it must not occupy a tag in
-                // the container's shared WAL shards.
-                shared_wal: None,
-                ..self.options.persistent.clone()
-            };
-            self.cold = Some(PersistentBackend::open_fresh(
-                &self.dir,
-                &Self::store_name(&self.name),
-                Arc::clone(&self.schema),
-                options,
+            self.cold = Some(PersistentBackend::open_cache(
+                &spill.dir,
+                &spill.store,
+                Arc::clone(&spill.schema),
+                spill.options.persistent.clone(),
             )?);
         }
         let cold = self.cold.as_mut().expect("cold store created");
@@ -234,20 +232,27 @@ impl SpillingBackend {
     }
 }
 
-impl StorageBackend for SpillingBackend {
+impl StorageBackend for ResidentBackend {
     fn kind(&self) -> BackendKind {
-        BackendKind::Spilled
+        match self.spill {
+            Some(_) => BackendKind::Spilled,
+            None => BackendKind::Memory,
+        }
     }
 
     fn spill_stats(&self) -> Option<(u64, u64)> {
-        Some((self.spill_migrations, self.spilled_rows))
+        self.spill
+            .as_ref()
+            .map(|_| (self.spill_migrations, self.spilled_rows))
     }
 
     fn append(&mut self, element: &StreamElement) -> GsnResult<()> {
         self.resident_bytes += element.size_bytes();
         self.resident.push(element.clone());
-        if self.resident_bytes > self.options.budget_bytes {
-            self.spill_cold_prefix()?;
+        if let Some(spill) = &self.spill {
+            if self.resident_bytes > spill.options.budget_bytes {
+                self.spill_cold_prefix()?;
+            }
         }
         Ok(())
     }
@@ -291,12 +296,7 @@ impl StorageBackend for SpillingBackend {
         visit: &mut dyn FnMut(&StreamElement),
     ) -> GsnResult<()> {
         match window {
-            WindowSpec::LatestOnly => {
-                if let Some(last) = self.last() {
-                    visit(&last);
-                }
-                Ok(())
-            }
+            WindowSpec::LatestOnly => self.scan_window(WindowSpec::Count(1), now, visit),
             WindowSpec::Count(n) => {
                 if n <= self.resident.len() {
                     for e in window.select(&self.resident, now) {
@@ -420,9 +420,9 @@ impl StorageBackend for SpillingBackend {
 
     fn scan_next(&self, state: &mut ScanState) -> GsnResult<Option<Vec<StreamElement>>> {
         match &mut state.0 {
-            ScanStateInner::Buffered { elements, pos } => Ok(memory_scan_next(elements, pos)),
+            ScanStateInner::Empty => Ok(None),
             ScanStateInner::Rows { .. } => Err(GsnError::storage(
-                "page scan state handed to a spilling backend",
+                "page scan state handed to a resident backend",
             )),
             ScanStateInner::Sequence { next_seq, end_seq } => {
                 if *next_seq > *end_seq {
@@ -447,7 +447,7 @@ impl StorageBackend for SpillingBackend {
                 let start = self.resident.partition_point(|e| e.sequence() < *next_seq);
                 let batch: Vec<StreamElement> = self.resident[start..]
                     .iter()
-                    .take(MEMORY_SCAN_BATCH)
+                    .take(RESIDENT_SCAN_BATCH)
                     .take_while(|e| e.sequence() <= *end_seq)
                     .cloned()
                     .collect();
@@ -535,7 +535,6 @@ impl StorageBackend for SpillingBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::MemoryBackend;
     use crate::testutil::temp_dir;
     use gsn_types::{DataType, Duration, Value};
 
@@ -556,8 +555,8 @@ mod tests {
         .with_sequence(v as u64)
     }
 
-    fn spilling(dir: &Path, budget: usize) -> SpillingBackend {
-        SpillingBackend::create(dir, "w", schema(), SpillOptions::with_budget(budget)).unwrap()
+    fn spilling(dir: &Path, budget: usize) -> ResidentBackend {
+        ResidentBackend::spilling(dir, "w", schema(), SpillOptions::with_budget(budget)).unwrap()
     }
 
     fn values(backend: &dyn StorageBackend, window: WindowSpec, now: Timestamp) -> Vec<i64> {
@@ -587,7 +586,7 @@ mod tests {
         let dir = temp_dir("spill-boundary");
         let s = schema();
         let mut b = spilling(&dir, 4 * 1024);
-        let mut mem = MemoryBackend::new();
+        let mut mem = ResidentBackend::default();
         for i in 1..=500 {
             let e = element(&s, i, i * 10, 64);
             b.append(&e).unwrap();
@@ -675,7 +674,7 @@ mod tests {
     fn reclaim_and_disk_usage_reach_the_cold_store() {
         let dir = temp_dir("spill-reclaim");
         let s = schema();
-        let mut b = SpillingBackend::create(
+        let mut b = ResidentBackend::spilling(
             &dir,
             "w",
             schema(),

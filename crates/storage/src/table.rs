@@ -6,10 +6,10 @@
 //! `permanent-storage="true"`), hands out windowed views for query evaluation, and prunes
 //! expired elements.
 //!
-//! A table delegates element storage to a [`StorageBackend`]: the in-memory vector of the
-//! seed implementation ([`StreamTable::new`]) or the persistent page engine
-//! ([`StreamTable::persistent`]) whose history survives container restarts and can grow
-//! far beyond RAM behind a bounded buffer pool.
+//! A table delegates element storage to a [`StorageBackend`]: the resident vector
+//! ([`StreamTable::new`], or [`StreamTable::spilling`] with a cold store on disk) or the
+//! persistent page engine ([`StreamTable::persistent`]) whose history survives container
+//! restarts and can grow far beyond RAM behind a bounded buffer pool.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -17,13 +17,13 @@ use std::sync::Arc;
 use gsn_types::{Duration, GsnError, GsnResult, StreamElement, StreamSchema, Timestamp, Value};
 
 use crate::backend::{
-    BackendKind, MemoryBackend, PersistentBackend, PersistentOptions, ScanBounds, ScanState,
-    StorageBackend,
+    BackendKind, PersistentBackend, PersistentOptions, ScanBounds, ScanState, StorageBackend,
 };
 use crate::buffer::BufferPoolStats;
 use crate::retention::{DiskUsage, ReclaimStats};
-use crate::spill::{SpillOptions, SpillingBackend};
+use crate::spill::{ResidentBackend, SpillOptions};
 use crate::stats::TableStats;
+use crate::wal::WalSet;
 use crate::window::{Retention, WindowSpec};
 
 /// An append-only, retention-bounded table of stream elements.
@@ -44,19 +44,11 @@ pub struct StreamTable {
 impl StreamTable {
     /// Creates an in-memory table with the given retention policy.
     pub fn new(name: &str, schema: Arc<StreamSchema>, retention: Retention) -> StreamTable {
-        StreamTable {
-            name: name.to_owned(),
-            schema,
-            retention,
-            min_elements: 1,
-            backend: Box::new(MemoryBackend::new()),
-            next_sequence: 1,
-            last_timestamp: None,
-            stats: TableStats::default(),
-        }
+        StreamTable::with_backend(name, schema, retention, Box::<ResidentBackend>::default())
     }
 
-    /// Opens (creating or recovering) a durable table stored under `dir`.
+    /// Opens (creating or recovering) a durable table stored under `dir`, logging its
+    /// rows under its tag in `wal`.
     ///
     /// When heap/WAL files for this table already exist, the stored history is recovered:
     /// `len()` reflects the recovered elements and sequence numbering continues where the
@@ -66,24 +58,16 @@ impl StreamTable {
         schema: Arc<StreamSchema>,
         retention: Retention,
         dir: &Path,
+        wal: Arc<WalSet>,
         options: PersistentOptions,
     ) -> GsnResult<StreamTable> {
-        let backend = PersistentBackend::open(dir, name, Arc::clone(&schema), options)?;
-        let max_sequence = backend.max_sequence();
-        let last_timestamp = backend.last().map(|e| e.timestamp());
-        Ok(StreamTable {
-            name: name.to_owned(),
+        let backend = PersistentBackend::open(dir, name, Arc::clone(&schema), wal, options)?;
+        Ok(StreamTable::with_backend(
+            name,
             schema,
             retention,
-            min_elements: 1,
-            backend: Box::new(backend),
-            next_sequence: max_sequence + 1,
-            last_timestamp,
-            // Lifetime counters cover this incarnation only; recovered history shows up
-            // in len()/retained_bytes(), not in `inserted` (re-opening must not inflate
-            // ingest totals across restarts).
-            stats: TableStats::default(),
-        })
+            Box::new(backend),
+        ))
     }
 
     /// Creates a *spill-capable* table: memory-resident until the configured budget is
@@ -98,17 +82,35 @@ impl StreamTable {
         dir: &Path,
         options: SpillOptions,
     ) -> GsnResult<StreamTable> {
-        let backend = SpillingBackend::create(dir, name, Arc::clone(&schema), options)?;
-        Ok(StreamTable {
+        let backend = ResidentBackend::spilling(dir, name, Arc::clone(&schema), options)?;
+        Ok(StreamTable::with_backend(
+            name,
+            schema,
+            retention,
+            Box::new(backend),
+        ))
+    }
+
+    /// Wraps a backend, continuing the sequence numbering after whatever it recovered.
+    fn with_backend(
+        name: &str,
+        schema: Arc<StreamSchema>,
+        retention: Retention,
+        backend: Box<dyn StorageBackend>,
+    ) -> StreamTable {
+        StreamTable {
             name: name.to_owned(),
             schema,
             retention,
             min_elements: 1,
-            backend: Box::new(backend),
-            next_sequence: 1,
-            last_timestamp: None,
+            next_sequence: backend.max_sequence() + 1,
+            last_timestamp: backend.last().map(|e| e.timestamp()),
+            backend,
+            // Lifetime counters cover this incarnation only; recovered history shows up
+            // in len()/retained_bytes(), not in `inserted` (re-opening must not inflate
+            // ingest totals across restarts).
             stats: TableStats::default(),
-        })
+        }
     }
 
     /// Creates an in-memory table sized for a single window specification.
@@ -411,17 +413,10 @@ impl StreamTable {
         self.backend.flush()
     }
 
-    /// Commits group-committed WAL appends still pending (the per-step batched fsync;
-    /// no-op for in-memory tables and when nothing is pending).  Returns the drained
-    /// batch's record count.
-    pub fn sync_wal(&mut self) -> GsnResult<u64> {
-        self.backend.sync_wal()
-    }
-
     /// Deletes any on-disk state, leaving the table empty and in-memory (used by
     /// `drop_table`).
     pub fn destroy_storage(&mut self) -> GsnResult<()> {
-        let backend = std::mem::replace(&mut self.backend, Box::new(MemoryBackend::new()));
+        let backend = std::mem::replace(&mut self.backend, Box::new(ResidentBackend::default()));
         backend.destroy()
     }
 }
@@ -654,6 +649,7 @@ mod tests {
                 schema(),
                 Retention::Unbounded,
                 &dir,
+                crate::testutil::wal_set(&dir),
                 PersistentOptions::default(),
             )
             .unwrap();
@@ -667,6 +663,7 @@ mod tests {
             schema(),
             Retention::Unbounded,
             &dir,
+            crate::testutil::wal_set(&dir),
             PersistentOptions::default(),
         )
         .unwrap();
@@ -692,6 +689,7 @@ mod tests {
             schema(),
             Retention::Unbounded,
             &dir,
+            crate::testutil::wal_set(&dir),
             PersistentOptions {
                 pool_pages: 2,
                 ..Default::default()
@@ -728,12 +726,13 @@ mod tests {
             schema(),
             Retention::Unbounded,
             &dir,
+            crate::testutil::wal_set(&dir),
             PersistentOptions::default(),
         )
         .unwrap();
         fill(&mut t, 5, 100);
         t.destroy_storage().unwrap();
-        assert!(std::fs::read_dir(&dir).unwrap().next().is_none());
+        assert!(crate::testutil::table_files(&dir).is_empty());
         // The table stays usable as an (empty) in-memory table.
         assert_eq!(t.len(), 0);
         assert!(!t.is_persistent());

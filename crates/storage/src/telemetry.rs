@@ -18,22 +18,23 @@ pub static STORAGE_INSERT_MICROS: MetricDesc = MetricDesc::histogram(
     "microseconds",
 );
 
-/// Insert latency of durable tables only — dominated by the WAL append plus
-/// the buffer-pool page write, which is why it carries the WAL name.
+/// Insert latency of the tables that log (durable tables only; spilled windows
+/// write no log) — dominated by the WAL append plus the buffer-pool page write.
 pub static STORAGE_WAL_APPEND_MICROS: MetricDesc = MetricDesc::histogram(
     "gsn_storage_wal_append_micros",
     "Latency of a durable insert (WAL append + page write)",
     "microseconds",
 );
 
-/// Per-table WAL fsync latency during the container's per-step group commit.
+/// Latency of the container's per-step WAL group commit (one write and at most one
+/// fsync per active shard), recorded when it drained records.
 pub static STORAGE_WAL_SYNC_MICROS: MetricDesc = MetricDesc::histogram(
     "gsn_storage_wal_sync_micros",
-    "Latency of one WAL fsync during group commit",
+    "Latency of one per-step WAL group commit",
     "microseconds",
 );
 
-/// Size of one drained WAL group-commit batch (records per shard/table commit).
+/// Size of one drained WAL group-commit batch (records per shard commit).
 pub static STORAGE_WAL_BATCH_RECORDS: MetricDesc = MetricDesc::histogram(
     "gsn_storage_wal_batch_records",
     "Records drained by one WAL group-commit batch",
@@ -101,11 +102,11 @@ pub static STORAGE_INDEX_PAGES_SKIPPED: MetricDesc = MetricDesc::counter(
 pub struct StorageTelemetry {
     /// All-table insert latency.
     pub insert_micros: Histogram,
-    /// Durable-table insert latency (WAL append + page write).
+    /// Logged (durable) insert latency (WAL append + page write).
     pub wal_append_micros: Histogram,
-    /// Per-table WAL fsync latency at group commit.
+    /// Per-step group-commit latency across every shard.
     pub wal_sync_micros: Histogram,
-    /// Records per drained group-commit batch.
+    /// Records per drained shard batch.
     pub wal_batch_records: Histogram,
     /// Fsyncs issued by group commits.
     pub wal_fsyncs: Counter,

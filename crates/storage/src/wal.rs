@@ -1,40 +1,34 @@
 //! The write-ahead log: durability for rows that have not reached a heap page yet.
 //!
-//! Every insert appends its encoded row here *before* the tail page in the buffer pool is
-//! touched.  A checkpoint (buffer-pool flush + heap fsync) makes the heap authoritative
-//! and resets the log.  Recovery replays the log and keeps only rows whose sequence
-//! number is above the highest sequence found in the heap — rows that reached disk via an
-//! evicted dirty page before the crash are thereby not duplicated.
+//! Every durable table logs through one layout: a tag inside a [`WalSet`], the
+//! container-wide set of shard logs `wal-shard-NNNN.wal`.  An insert appends its encoded
+//! row under the table's tag *before* the tail page in the buffer pool is touched.  A
+//! checkpoint (buffer-pool flush + heap fsync) makes the heap authoritative and clears
+//! the tag.  Recovery replays the tag and keeps only rows whose sequence number is above
+//! the highest sequence found in the heap — rows that reached disk via an evicted dirty
+//! page before the crash are thereby not duplicated.
 //!
 //! Record framing: `[u32 length][u32 crc32][payload]`, little-endian.  Replay stops at
 //! the first truncated or corrupt record (a torn tail write), which is exactly the
 //! prefix-durability a log needs.
 //!
-//! ## Group commit
+//! ## Shards and group commit
 //!
-//! With [`SyncMode::Always`] the log normally fsyncs after every appended record.  A
-//! container ingesting from many sensors in one step can instead enable *group commit*
-//! ([`Wal::set_group_commit`]): appends accumulate in a per-log batch buffer, and a
-//! single [`Wal::commit`] at the step boundary drains the batch with **one** `write`
-//! plus (under `Always`) **one** fsync, amortised across every row ingested in that
-//! step.  Durability moves from per-insert to per-step; a crash mid-step can lose at
-//! most that step's un-committed batch (the CRC framing keeps replay safe).
-//!
-//! ## Sharded, shared logs
-//!
-//! A container hosting many durable tables would still pay one fsync *per table* per
-//! step.  [`WalSet`] collapses that: one log file per step-loop shard, shared by every
-//! table whose name hashes to that shard (the same [`shard_index`] hash the container
-//! uses to assign sensors to workers, so a worker appends only to its own shard's log
-//! and the commit phase fsyncs once per *active shard*, not once per table).  Records
-//! carry a table tag; recovery filters by tag and the existing replay-above-heap
-//! sequence check makes the deferred (per-tag) truncation safe.
+//! One log file per step-loop shard is shared by every table whose name hashes to that
+//! shard (the same [`shard_index`] hash the container uses to assign sensors to
+//! workers), so a worker appends only to its own shard's log.  With group commit
+//! ([`Wal::set_group_commit`]) appends accumulate in a per-shard batch buffer, and one
+//! [`WalSet::commit`] at the step boundary drains each shard with **one** `write` plus
+//! (under [`SyncMode::Always`]) **one** fsync, amortised across every row and table
+//! ingested in that step.  Durability moves from per-insert to per-step; a crash
+//! mid-step can lose at most that step's un-committed batch (the CRC framing keeps
+//! replay safe).  Records carry a table tag; recovery filters by tag and the
+//! replay-above-heap sequence check makes the deferred (per-tag) truncation safe.
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 use gsn_types::{GsnError, GsnResult};
 use parking_lot::Mutex;
@@ -49,18 +43,12 @@ pub enum SyncMode {
     /// tail of un-checkpointed elements (a clean shutdown loses nothing).
     #[default]
     OnCheckpoint,
-    /// No logging at all: appends are dropped and replay yields nothing.  For stores
-    /// whose contents are *reconstructible* and wiped on restart — the disk-spilled
-    /// window store uses this, because a spilled window is a cache of live stream data
-    /// that a restarted container rebuilds from scratch anyway.
-    Disabled,
 }
 
 /// An append-only record log.
 #[derive(Debug)]
 pub struct Wal {
     file: File,
-    path: PathBuf,
     sync: SyncMode,
     bytes: u64,
     /// Group commit: batch appends (and defer `SyncMode::Always` fsyncs) to the next
@@ -91,7 +79,6 @@ impl Wal {
             .len();
         let mut wal = Wal {
             file,
-            path: path.to_owned(),
             sync,
             bytes,
             group_commit: false,
@@ -128,11 +115,6 @@ impl Wal {
         Ok(records)
     }
 
-    /// Records accumulated in the group-commit batch since the last commit.
-    pub fn pending_records(&self) -> u64 {
-        self.pending_records
-    }
-
     /// Writes the accumulated batch to the file (no fsync).
     fn flush_pending(&mut self) -> GsnResult<()> {
         if self.pending.is_empty() {
@@ -153,21 +135,13 @@ impl Wal {
         Ok(())
     }
 
-    /// The log file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Current log size in bytes.
     pub fn len_bytes(&self) -> u64 {
         self.bytes
     }
 
-    /// Appends one record, honouring the sync mode ([`SyncMode::Disabled`] drops it).
+    /// Appends one record, honouring the sync mode.
     pub fn append(&mut self, payload: &[u8]) -> GsnResult<()> {
-        if self.sync == SyncMode::Disabled {
-            return Ok(());
-        }
         let mut frame = Vec::with_capacity(8 + payload.len());
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         frame.extend_from_slice(&crc32(payload).to_le_bytes());
@@ -224,9 +198,6 @@ impl Wal {
 
     /// Truncates the log after a checkpoint made the heap authoritative.
     pub fn reset(&mut self) -> GsnResult<()> {
-        if self.sync == SyncMode::Disabled {
-            return Ok(());
-        }
         self.file
             .set_len(0)
             .and_then(|_| self.file.seek(SeekFrom::Start(0)))
@@ -243,26 +214,10 @@ impl Wal {
     /// Forces buffered records (including the group-commit batch) to stable storage.
     pub fn sync(&mut self) -> GsnResult<()> {
         self.sync_pending = false;
-        if self.sync == SyncMode::Disabled {
-            return Ok(());
-        }
         self.flush_pending()?;
         self.file
             .sync_data()
             .map_err(|e| GsnError::storage(format!("cannot sync WAL: {e}")))
-    }
-
-    /// Deletes the log file (table dropped). Consumes the log.
-    pub fn destroy(self) -> GsnResult<()> {
-        let path = self.path.clone();
-        drop(self);
-        match std::fs::remove_file(&path) {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(GsnError::storage(format!(
-                "cannot remove WAL {path:?}: {e}"
-            ))),
-        }
     }
 }
 
@@ -272,11 +227,11 @@ impl Wal {
 
 /// Stable shard assignment: FNV-1a over the *normalised* name, modulo the shard count.
 ///
-/// Normalisation lower-cases and maps `-` to `_`.  This MUST stay identical to the
-/// container's `gsn_core::query::shard_index` (sensor → step-loop worker assignment):
-/// a durable table is named after its sensor, so with `wal_shards == workers` the
-/// worker that runs a sensor's pipeline is the only one appending to that table's WAL
-/// shard — appends never cross worker boundaries.
+/// Normalisation lower-cases and maps `-` to `_`, so a sensor (`room-temp`) and its
+/// output table (`room_temp`) land on the same shard.  The container assigns sensors to
+/// step-loop workers and partitions registered queries with this same function, so
+/// with `wal_shards == workers` the worker that runs a sensor's pipeline is the only
+/// one appending to that table's WAL shard and owns the queries that read it.
 pub fn shard_index(name: &str, shards: usize) -> usize {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for byte in name.bytes() {
@@ -411,9 +366,6 @@ impl WalSet {
 
     /// Appends one row record for `tag`, honouring the set's sync/group-commit modes.
     pub fn append(&self, tag: &str, payload: &[u8]) -> GsnResult<()> {
-        if self.sync == SyncMode::Disabled {
-            return Ok(());
-        }
         if tag.len() > 254 {
             return Err(GsnError::storage(format!(
                 "WAL table tag `{tag}` exceeds 254 bytes"
@@ -434,9 +386,6 @@ impl WalSet {
     /// Reads every surviving row payload of `tag` from its shard, in append order.  A
     /// tombstone discards everything appended before it.
     pub fn replay_for(&self, tag: &str) -> GsnResult<Vec<Vec<u8>>> {
-        if self.sync == SyncMode::Disabled {
-            return Ok(Vec::new());
-        }
         self.with_shard(self.shard_of(tag), |shard| {
             let mut rows = Vec::new();
             for record in shard.wal.replay()? {
@@ -452,9 +401,6 @@ impl WalSet {
 
     /// Un-checkpointed logical bytes `tag` holds in its shard.
     pub fn tag_bytes(&self, tag: &str) -> u64 {
-        if self.sync == SyncMode::Disabled {
-            return 0;
-        }
         self.with_shard(self.shard_of(tag), |shard| {
             Ok(shard.tag_bytes.get(tag).copied().unwrap_or(0))
         })
@@ -497,9 +443,6 @@ impl WalSet {
     /// authoritative).  Truncates the shard file once every tag is clean; compacts it
     /// (dropping clean tags' records) when it outgrew the compaction threshold.
     pub fn checkpoint_tag(&self, tag: &str) -> GsnResult<()> {
-        if self.sync == SyncMode::Disabled {
-            return Ok(());
-        }
         let index = self.shard_of(tag);
         self.with_shard(index, |shard| {
             shard.tag_bytes.insert(tag.to_owned(), 0);
@@ -516,9 +459,6 @@ impl WalSet {
     /// heap): appends a durable tombstone so earlier records never replay, then
     /// truncates/compacts like a checkpoint.
     pub fn drop_tag(&self, tag: &str) -> GsnResult<()> {
-        if self.sync == SyncMode::Disabled {
-            return Ok(());
-        }
         if tag.len() > 254 {
             return Err(GsnError::storage(format!(
                 "WAL table tag `{tag}` exceeds 254 bytes"
@@ -618,122 +558,6 @@ fn decode_tagged(record: &[u8]) -> Option<TaggedRecord<'_>> {
         tag: std::str::from_utf8(tag).ok()?,
         row: &rest[first as usize..],
     })
-}
-
-/// The log a [`crate::PersistentBackend`] writes to: either a private per-table file,
-/// or a tag inside the container's shared [`WalSet`].
-///
-/// The `Shared` variant keeps the table's *legacy* private log (when one exists on
-/// disk) readable until the next checkpoint: a container upgraded to sharded logging
-/// recovers from both, and only discards the private file once the heap is
-/// authoritative for everything it held.
-#[derive(Debug)]
-pub enum TableWal {
-    /// A private `<table>.wal` file.
-    Own(Wal),
-    /// A tag in the container-wide sharded log.
-    Shared {
-        /// The shared log set.
-        set: Arc<WalSet>,
-        /// This table's record tag (its sanitised file base name).
-        tag: String,
-        /// The pre-sharding private log, retained read-only until the next checkpoint.
-        legacy: Option<Wal>,
-    },
-}
-
-impl TableWal {
-    /// Appends one encoded row.
-    pub fn append(&mut self, payload: &[u8]) -> GsnResult<()> {
-        match self {
-            TableWal::Own(wal) => wal.append(payload),
-            TableWal::Shared { set, tag, .. } => set.append(tag, payload),
-        }
-    }
-
-    /// Every surviving record for this table, in append order (legacy log first).
-    pub fn replay(&mut self) -> GsnResult<Vec<Vec<u8>>> {
-        match self {
-            TableWal::Own(wal) => wal.replay(),
-            TableWal::Shared { set, tag, legacy } => {
-                let mut records = match legacy {
-                    Some(wal) => wal.replay()?,
-                    None => Vec::new(),
-                };
-                records.extend(set.replay_for(tag)?);
-                Ok(records)
-            }
-        }
-    }
-
-    /// Un-checkpointed logical bytes this table holds in its log(s) — drives the
-    /// backend's auto-checkpoint threshold and its disk accounting.
-    pub fn len_bytes(&self) -> u64 {
-        match self {
-            TableWal::Own(wal) => wal.len_bytes(),
-            TableWal::Shared { set, tag, legacy } => {
-                set.tag_bytes(tag) + legacy.as_ref().map_or(0, Wal::len_bytes)
-            }
-        }
-    }
-
-    /// Commits this table's own batched appends (the per-table group commit).  For the
-    /// `Shared` variant this is a no-op returning 0: the container commits the whole
-    /// [`WalSet`] once per step instead, one fsync per shard.
-    pub fn commit(&mut self) -> GsnResult<u64> {
-        match self {
-            TableWal::Own(wal) => wal.commit(),
-            TableWal::Shared { .. } => Ok(0),
-        }
-    }
-
-    /// Marks this table checkpointed: the heap is authoritative, its log records are
-    /// dead.  Own logs sync + truncate; shared tags are logically cleared (see
-    /// [`WalSet::checkpoint_tag`]) and any legacy private file is deleted.
-    pub fn checkpoint(&mut self) -> GsnResult<()> {
-        match self {
-            TableWal::Own(wal) => {
-                wal.sync()?;
-                wal.reset()
-            }
-            TableWal::Shared { set, tag, legacy } => {
-                set.checkpoint_tag(tag)?;
-                if let Some(wal) = legacy.take() {
-                    wal.destroy()?;
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// Discards stale records found next to a *fresh* heap (a dropped predecessor
-    /// table's leftovers).
-    pub fn clear_stale(&mut self) -> GsnResult<()> {
-        match self {
-            TableWal::Own(wal) => wal.reset(),
-            TableWal::Shared { set, tag, legacy } => {
-                set.drop_tag(tag)?;
-                if let Some(wal) = legacy.take() {
-                    wal.destroy()?;
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// Removes this table's log state (table dropped).
-    pub fn destroy(self) -> GsnResult<()> {
-        match self {
-            TableWal::Own(wal) => wal.destroy(),
-            TableWal::Shared { set, tag, legacy } => {
-                set.drop_tag(&tag)?;
-                if let Some(wal) = legacy {
-                    wal.destroy()?;
-                }
-                Ok(())
-            }
-        }
-    }
 }
 
 /// CRC-32 (IEEE 802.3), bitwise implementation — fast enough for sensor-row sizes and
@@ -845,22 +669,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_mode_logs_nothing() {
-        let path = temp_wal("wal-disabled");
-        {
-            let mut wal = Wal::open(&path, SyncMode::Disabled).unwrap();
-            wal.append(b"dropped").unwrap();
-            assert_eq!(wal.len_bytes(), 0);
-            wal.sync().unwrap();
-            wal.reset().unwrap();
-            assert!(wal.replay().unwrap().is_empty());
-        }
-        // Nothing survives: a durable re-open of the same path replays nothing.
-        let mut wal = Wal::open(&path, SyncMode::OnCheckpoint).unwrap();
-        assert!(wal.replay().unwrap().is_empty());
-    }
-
-    #[test]
     fn reset_empties_the_log() {
         let path = temp_wal("wal-reset");
         let mut wal = Wal::open(&path, SyncMode::OnCheckpoint).unwrap();
@@ -872,18 +680,6 @@ mod tests {
         // Usable after reset.
         wal.append(b"again").unwrap();
         assert_eq!(wal.replay().unwrap().len(), 1);
-    }
-
-    #[test]
-    fn shard_index_matches_container_hash() {
-        // Same FNV-1a + normalisation as gsn_core::query::shard_index — checked against
-        // hand-computed vectors so neither copy can drift silently.
-        assert_eq!(shard_index("wind-meter", 7), shard_index("WIND_METER", 7));
-        assert_eq!(shard_index("anything", 1), 0);
-        let spread: std::collections::HashSet<usize> = (0..64)
-            .map(|i| shard_index(&format!("sensor-{i}"), 8))
-            .collect();
-        assert!(spread.len() > 1, "64 names must not all land in one shard");
     }
 
     #[test]
@@ -987,33 +783,5 @@ mod tests {
             vec![b"must survive".to_vec()]
         );
         assert!(reopened.replay_for("bulk").unwrap().is_empty());
-    }
-
-    #[test]
-    fn table_wal_shared_replays_legacy_then_shard_and_migrates_on_checkpoint() {
-        let dir = crate::testutil::temp_dir("tablewal-migrate");
-        let legacy_path = dir.join("sensor.wal");
-        {
-            let mut legacy = Wal::open(&legacy_path, SyncMode::OnCheckpoint).unwrap();
-            legacy.append(b"pre-sharding row").unwrap();
-        }
-        let set = Arc::new(WalSet::new(&dir, 2, SyncMode::OnCheckpoint, false, 1 << 20));
-        let mut wal = TableWal::Shared {
-            set: Arc::clone(&set),
-            tag: "sensor".to_owned(),
-            legacy: Some(Wal::open(&legacy_path, SyncMode::OnCheckpoint).unwrap()),
-        };
-        wal.append(b"post-sharding row").unwrap();
-        // Replay order: the legacy private log first, then the shard records.
-        assert_eq!(
-            wal.replay().unwrap(),
-            vec![b"pre-sharding row".to_vec(), b"post-sharding row".to_vec()]
-        );
-        assert!(wal.len_bytes() > 0);
-        // Checkpoint retires the legacy file and clears the shard tag.
-        wal.checkpoint().unwrap();
-        assert!(!legacy_path.exists());
-        assert_eq!(wal.len_bytes(), 0);
-        assert!(wal.replay().unwrap().is_empty());
     }
 }

@@ -7,6 +7,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use gsn::container::ContainerConfig;
+use gsn::storage::testutil::wal_set;
 use gsn::storage::{
     CatalogView, PersistentOptions, Retention, SpillOptions, StorageManager, StreamTable,
     WindowSpec,
@@ -59,6 +60,7 @@ fn bounded_durable_table_footprint_stays_within_two_segments_of_live() {
         schema(),
         Retention::Elements(500),
         &dir,
+        wal_set(&dir),
         PersistentOptions {
             segment_pages: 4,
             pool_pages: 8,
@@ -123,6 +125,7 @@ proptest! {
             schema(),
             Retention::Elements(keep),
             &dir,
+            wal_set(&dir),
             PersistentOptions {
                 segment_pages,
                 pool_pages: 4,
@@ -227,7 +230,7 @@ fn spilled_time_window_queries_in_bounded_memory() {
             ..Default::default()
         },
         window_spill_bytes: Some(16 * 1024),
-        wal_shards: 0,
+        ..Default::default()
     });
     let schema = schema();
     storage

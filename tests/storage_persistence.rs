@@ -6,15 +6,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use gsn::container::ContainerConfig;
+use gsn::storage::testutil::wal_set;
 use gsn::storage::{
-    Page, PageIo, PersistentOptions, Retention, SharedBufferPool, StorageManager, StreamTable,
-    WindowSpec,
+    Page, PageIo, PersistentOptions, Retention, SharedBufferPool, StorageManager, StorageOptions,
+    StreamTable, SyncMode, WindowSpec,
 };
 use gsn::types::{
     codec, DataType, Duration, SimulatedClock, StreamElement, StreamSchema, Timestamp, Value,
 };
 use gsn::xml::{AddressSpec, InputStreamSpec, StreamSourceSpec, VirtualSensorDescriptor};
-use gsn::{GsnContainer, GsnResult};
+use gsn::{GsnContainer, GsnError, GsnResult};
 use proptest::prelude::*;
 
 static DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -285,6 +286,7 @@ proptest! {
             Arc::clone(&schema),
             Retention::Unbounded,
             &dir,
+            wal_set(&dir),
             PersistentOptions { pool_pages, ..Default::default() },
         )
         .unwrap();
@@ -399,6 +401,7 @@ fn restart_survives_stale_and_missing_index_sidecars() {
             Arc::clone(&schema),
             Retention::Unbounded,
             &dir,
+            wal_set(&dir),
             options.clone(),
         )
         .unwrap();
@@ -438,6 +441,7 @@ fn restart_survives_stale_and_missing_index_sidecars() {
             Arc::clone(&schema),
             Retention::Unbounded,
             &dir,
+            wal_set(&dir),
             options.clone(),
         )
         .unwrap();
@@ -481,6 +485,7 @@ fn restart_survives_stale_and_missing_index_sidecars() {
         Arc::clone(&schema),
         Retention::Unbounded,
         &dir,
+        wal_set(&dir),
         options,
     )
     .unwrap();
@@ -511,6 +516,7 @@ fn restart_recovers_across_a_segment_truncation_boundary() {
             Arc::clone(&schema),
             Retention::Elements(60),
             &dir,
+            wal_set(&dir),
             options.clone(),
         )
         .unwrap();
@@ -533,6 +539,7 @@ fn restart_recovers_across_a_segment_truncation_boundary() {
         Arc::clone(&schema),
         Retention::Elements(60),
         &dir,
+        wal_set(&dir),
         options,
     )
     .unwrap();
@@ -593,14 +600,12 @@ fn without_data_dir_history_stays_in_memory() {
 fn bounded_pool_serves_table_larger_than_memory_budget() {
     let dir = temp_dir("bounded-pool");
     let pool_pages = 8;
-    let storage = StorageManager::with_options(gsn::storage::StorageOptions {
-        data_dir: Some(dir.clone()),
+    let storage = StorageManager::with_options(StorageOptions {
         persistent: PersistentOptions {
             pool_pages,
             ..Default::default()
         },
-        window_spill_bytes: None,
-        wal_shards: 0,
+        ..StorageOptions::at(&dir)
     });
     let schema = Arc::new(
         StreamSchema::from_pairs(&[("v", DataType::Integer), ("tag", DataType::Varchar)]).unwrap(),
@@ -799,113 +804,109 @@ fn concurrent_scans_of_distinct_regions_never_contend() {
     );
 }
 
-/// Per-shard WAL batching is crash-equivalent to the old one-log-per-table commit: the
-/// same ingest is run under `wal_shards: 4` (tables multiplexed onto shard logs, one
-/// batched fsync per active shard per step) and `wal_shards: 0` (a private log per
-/// table), both managers are "crashed" after the step commit with dirty pages unflushed
-/// (`mem::forget` skips the checkpoint-on-drop), and recovery must replay byte-identical
-/// table contents from either log layout.
+/// Rows acknowledged at the step commit survive a crash whatever the shard count: the
+/// same ingest runs over 1 and 4 WAL shards, each manager is "crashed" right after the
+/// commit with dirty pages unflushed (`mem::forget` skips the checkpoint-on-drop), and
+/// recovery must replay exactly the inserted rows from the shard logs.  Every durable
+/// table logs through those shards, and a spilled window logs nothing, so no
+/// `<table>.wal` or `__spill.wal` may appear.
 #[test]
-fn sharded_wal_replays_to_same_state_as_private_wals() {
+fn wal_crash_replay_recovers_every_row_at_1_and_4_shards() {
     let schema = Arc::new(StreamSchema::from_pairs(&[("v", DataType::Integer)]).unwrap());
     let tables = ["alpha", "bravo", "charlie", "delta", "echo"];
     let rows_per_table = 200i64;
+    let value = |t: usize, i: i64| t as i64 * 10_000 + i;
 
-    let run = |tag: &str, wal_shards: usize| -> Vec<Vec<Vec<Value>>> {
-        let dir = temp_dir(tag);
-        let options = gsn::storage::StorageOptions {
-            data_dir: Some(dir.clone()),
-            persistent: PersistentOptions {
-                sync: gsn::storage::SyncMode::Always,
-                group_commit: true,
-                ..Default::default()
-            },
-            window_spill_bytes: None,
-            wal_shards,
-        };
+    for shards in [1usize, 4] {
+        let dir = temp_dir(&format!("wal-crash-{shards}"));
+        let mut options = StorageOptions::at(&dir)
+            .with_wal_shards(shards)
+            .with_window_spill(1024);
+        options.persistent.sync = SyncMode::Always;
+        options.persistent.group_commit = true;
 
         let storage = StorageManager::with_options(options.clone());
+        storage
+            .create_table("window", Arc::clone(&schema), Retention::Unbounded)
+            .unwrap();
         for (t, name) in tables.iter().enumerate() {
             storage
                 .create_table_durable(name, Arc::clone(&schema), Retention::Unbounded)
                 .unwrap();
             for i in 0..rows_per_table {
-                let e = StreamElement::new(
-                    Arc::clone(&schema),
-                    vec![Value::Integer(t as i64 * 10_000 + i)],
-                    Timestamp(i),
-                )
-                .unwrap();
-                storage.insert(name, e, Timestamp(i)).unwrap();
+                for table in [*name, "window"] {
+                    let e = StreamElement::new(
+                        Arc::clone(&schema),
+                        vec![Value::Integer(value(t, i))],
+                        Timestamp(i),
+                    )
+                    .unwrap();
+                    storage.insert(table, e, Timestamp(i)).unwrap();
+                }
             }
         }
-        // The step-loop commit: flushes every pending WAL batch (one fsync per active
-        // shard in the sharded layout, one per table otherwise).
+        assert!(storage.stats().spilled_rows > 0, "the window must spill");
+        // The step-loop commit: one write and one fsync per active shard.
         storage.group_commit().unwrap();
         // Crash: skip `Drop`, so no page flush and no checkpoint ever happens — the
-        // recovered state below comes entirely from replaying the log(s).
+        // recovered state below comes entirely from replaying the shard logs.
         std::mem::forget(storage);
 
-        let shard_files = std::fs::read_dir(&dir)
+        let logs: Vec<String> = std::fs::read_dir(&dir)
             .unwrap()
-            .filter(|e| {
-                e.as_ref()
-                    .unwrap()
-                    .file_name()
-                    .to_string_lossy()
-                    .starts_with("wal-shard-")
-            })
-            .count();
-        if wal_shards > 0 {
-            assert!(
-                shard_files > 0,
-                "sharded run produced no wal-shard-*.wal files"
-            );
-        } else {
-            assert_eq!(
-                shard_files, 0,
-                "unsharded run must keep per-table logs only"
-            );
-        }
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.ends_with(".wal"))
+            .collect();
+        assert!(
+            !logs.is_empty() && logs.iter().all(|name| name.starts_with("wal-shard-")),
+            "{shards} shards: expected only wal-shard-*.wal logs, found {logs:?}"
+        );
 
         let storage = StorageManager::with_options(options);
-        for name in &tables {
-            storage
+        for (t, name) in tables.iter().enumerate() {
+            let table = storage
                 .create_table_durable(name, Arc::clone(&schema), Retention::Unbounded)
                 .unwrap();
+            let recovered: Vec<(u64, i64)> = table
+                .read()
+                .all()
+                .iter()
+                .map(|e| (e.sequence(), e.value("V").unwrap().as_integer().unwrap()))
+                .collect();
+            let inserted: Vec<(u64, i64)> = (0..rows_per_table)
+                .map(|i| (i as u64 + 1, value(t, i)))
+                .collect();
+            assert_eq!(recovered, inserted, "{shards} shards: table {name}");
         }
-        let views: Vec<gsn::storage::CatalogView> = tables
-            .iter()
-            .map(|name| gsn::storage::CatalogView::new(name, name, WindowSpec::Count(usize::MAX)))
-            .collect();
-        let catalog = storage
-            .windowed_catalog(&views, Timestamp(rows_per_table))
-            .unwrap();
-        let mut engine = gsn::sql::SqlEngine::new();
-        let recovered = tables
-            .iter()
-            .map(|name| {
-                engine
-                    .execute(&format!("select v from {name}"), &catalog)
-                    .unwrap()
-                    .rows()
-                    .to_vec()
-            })
-            .collect();
         drop(storage);
         std::fs::remove_dir_all(&dir).ok();
-        recovered
-    };
-
-    let sharded = run("wal-crash-sharded", 4);
-    let private = run("wal-crash-private", 0);
-    assert_eq!(
-        sharded, private,
-        "recovered state diverged between WAL layouts"
-    );
-    assert_eq!(sharded.len(), tables.len());
-    for (t, rows) in sharded.iter().enumerate() {
-        assert_eq!(rows.len(), rows_per_table as usize, "table {t} lost rows");
-        assert_eq!(rows[0][0], Value::Integer(t as i64 * 10_000));
     }
+}
+
+/// A non-empty per-table `<table>.wal` left by the pre-sharding layout may hold
+/// acknowledged rows that no shard log has: opening the durable table is refused with
+/// a storage error naming the file, instead of silently dropping those rows.
+#[test]
+fn durable_open_refuses_a_non_empty_legacy_table_wal() {
+    let dir = temp_dir("legacy-wal");
+    let schema = Arc::new(StreamSchema::from_pairs(&[("v", DataType::Integer)]).unwrap());
+    let legacy = dir.join("history.wal");
+    std::fs::write(&legacy, b"acknowledged rows").unwrap();
+
+    let storage = StorageManager::persistent(&dir);
+    let err = storage
+        .create_table_durable("history", Arc::clone(&schema), Retention::Unbounded)
+        .unwrap_err();
+    assert!(matches!(err, GsnError::Storage(_)), "{err:?}");
+    assert!(err.to_string().contains("history.wal"), "{err}");
+    assert!(!storage.has_table("history"));
+    assert!(legacy.exists(), "the refused log is left for recovery");
+
+    // An empty leftover holds nothing acknowledged and does not block the open.
+    std::fs::write(&legacy, b"").unwrap();
+    storage
+        .create_table_durable("history", schema, Retention::Unbounded)
+        .unwrap();
+    drop(storage);
+    std::fs::remove_dir_all(&dir).ok();
 }
