@@ -682,7 +682,7 @@ struct RemoteQueryState {
     /// Last time the request or a re-request was sent (paces the retry loop).
     last_request: Timestamp,
     /// Distributed-trace context carried on the request frames (retries included);
-    /// `None` for untraced queries — the frames then match the pre-tracing format.
+    /// `None` for untraced queries.
     trace: Option<TraceContext>,
     /// Time spent encoding the request frame (measured only when traced).
     serialize_micros: u64,
@@ -1866,10 +1866,11 @@ impl GsnContainer {
                             health: my_health,
                             trace: None,
                         };
-                        self.telemetry
-                            .gossip_bytes_total
-                            .add(gsn_network::encode(&reply).len() as u64);
-                        let _ = network.send(self.config.node_id, envelope.from, reply, now);
+                        if let Ok(bytes) =
+                            network.send(self.config.node_id, envelope.from, reply, now)
+                        {
+                            self.telemetry.gossip_bytes_total.add(bytes as u64);
+                        }
                     }
                 }
                 Message::GossipDelta {
@@ -1898,11 +1899,11 @@ impl GsnContainer {
                                     health: Vec::new(),
                                     trace: None,
                                 };
-                                self.telemetry
-                                    .gossip_bytes_total
-                                    .add(gsn_network::encode(&reply).len() as u64);
-                                let _ =
-                                    network.send(self.config.node_id, envelope.from, reply, now);
+                                if let Ok(bytes) =
+                                    network.send(self.config.node_id, envelope.from, reply, now)
+                                {
+                                    self.telemetry.gossip_bytes_total.add(bytes as u64);
+                                }
                             }
                         }
                     }
@@ -2659,11 +2660,11 @@ impl GsnContainer {
             members: mesh.ring.members(),
         };
         self.telemetry.gossip_rounds_total.inc();
-        self.telemetry.gossip_bytes_total.add(
-            (gsn_network::encode(&message).len() + gsn_network::encode(&announce).len()) as u64,
-        );
-        let _ = network.send(node, peer, message, now);
-        let _ = network.send(node, peer, announce, now);
+        for message in [message, announce] {
+            if let Ok(bytes) = network.send(node, peer, message, now) {
+                self.telemetry.gossip_bytes_total.add(bytes as u64);
+            }
+        }
     }
 
     /// The mesh members hosting `table`'s rows per the replicated directory, restricted
@@ -2705,8 +2706,8 @@ impl GsnContainer {
         self.telemetry.scatter_queries_total.inc();
         // Distributed-trace root: the trace id derives from (node, request), so it
         // is mesh-unique without a random source.  With tracing disabled the token
-        // is inert and `context()` is `None` — every scatter frame then matches the
-        // pre-tracing wire format exactly.
+        // is inert and `context()` is `None` — every scatter frame then carries no
+        // trace context.
         let trace_id = ((node.as_u64() as u128) << 64) | request as u128;
         let root_span = self
             .runtime
@@ -3770,5 +3771,33 @@ mod tests {
             let table = VirtualSensor::output_table_name(name);
             assert_eq!(sensor_shard(name, 4), shard_index(&table, 4));
         }
+    }
+
+    #[test]
+    fn gossip_bytes_count_only_frames_the_network_accepted() {
+        let clock = SimulatedClock::new();
+        let network = Arc::new(SimulatedNetwork::new());
+        let (me, peer) = (NodeId::new(1), NodeId::new(2));
+        network.add_node(peer).unwrap();
+        let config = ContainerConfig::named(me, "gossiper");
+        let mut container =
+            GsnContainer::with_mesh(config, Arc::new(clock.clone()), Arc::clone(&network)).unwrap();
+        container.set_gossip_interval_steps(1);
+        container.mesh_bootstrap(&[peer], 1);
+        let gossip_bytes = |c: &GsnContainer| c.telemetry.gossip_bytes_total.get();
+
+        // Each round sends a digest and a ring announce: exactly the bytes the network
+        // took from this node.
+        let before = network.stats().bytes_sent;
+        container.step();
+        let sent = network.stats().bytes_sent - before;
+        assert!(sent > 0);
+        assert_eq!(gossip_bytes(&container), sent);
+
+        // A partition refuses both frames: nothing was sent, so nothing is counted.
+        network.partition(me, peer);
+        container.step();
+        assert_eq!(gossip_bytes(&container), sent);
+        assert_eq!(network.stats().bytes_sent - before, sent);
     }
 }

@@ -34,8 +34,8 @@ impl SpanId {
 /// logical operation it belongs to (`trace_id`, unique mesh-wide) and which
 /// span on the *sending* container is its parent.
 ///
-/// A `trace_id` of 0 means "untraced" and is never put on the wire; old peers
-/// that predate tracing simply omit the field, which decodes as `None`.
+/// A `trace_id` of 0 means "untraced" and is never put on the wire: an untraced
+/// message carries `None` in its `trace` field instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TraceContext {
     /// Mesh-wide identity of the logical operation (never 0 on the wire).

@@ -1,18 +1,23 @@
-//! Binary encoding of values, rows and schemas for the persistent storage engine.
+//! The one binary layout of values, rows and schemas, for disk and wire alike.
 //!
 //! The page-based storage layer (`gsn-storage`) stores stream elements as flat byte
-//! records inside fixed-size pages and in the write-ahead log.  This module defines that
-//! record format in one place so that pages, the WAL and recovery all agree:
+//! records inside fixed-size pages and in the write-ahead log, and `gsn-network` frames
+//! every inter-container message with the same primitives.  This module defines that
+//! layout in one place so that pages, the WAL, recovery and the wire all agree:
 //!
-//! * **value**: one tag byte followed by a type-specific payload (little-endian scalars,
-//!   length-prefixed strings/blobs),
+//! * **primitives**: little-endian integers; strings and blobs as a `u32` length prefix
+//!   followed by the bytes,
+//! * **value**: one tag byte followed by a type-specific payload,
 //! * **row**: sequence number, timestamps and the value vector of one [`StreamElement`]
 //!   (the schema itself is *not* repeated per row — it is stored once in the table file
 //!   header via [`encode_schema`]),
-//! * **schema**: length-prefixed `(name, type)` pairs.
+//! * **schema**: a `u32` count of `(name, canonical type name)` string pairs.
 //!
 //! The format is self-delimiting: every decode consumes exactly the bytes its encode
-//! produced, so records can be packed back to back in a page without padding.
+//! produced, so records can be packed back to back in a page without padding.  Decoding
+//! is hardened for input read from disk or a peer: a truncated, corrupt or hostile
+//! buffer yields a [`GsnError::Storage`], never a panic, and no count read from the
+//! buffer can make a decoder reserve more elements than bytes remain ([`read_vec`]).
 
 use std::sync::Arc;
 
@@ -35,7 +40,8 @@ fn truncated(what: &str) -> GsnError {
     GsnError::storage(format!("corrupt record: truncated {what}"))
 }
 
-fn take<'a>(buf: &mut &'a [u8], n: usize, what: &str) -> GsnResult<&'a [u8]> {
+/// Consumes the next `n` bytes of `buf`.
+pub fn take<'a>(buf: &mut &'a [u8], n: usize, what: &str) -> GsnResult<&'a [u8]> {
     if buf.len() < n {
         return Err(truncated(what));
     }
@@ -44,30 +50,59 @@ fn take<'a>(buf: &mut &'a [u8], n: usize, what: &str) -> GsnResult<&'a [u8]> {
     Ok(head)
 }
 
-fn read_u8(buf: &mut &[u8], what: &str) -> GsnResult<u8> {
+/// Reads one byte.
+pub fn read_u8(buf: &mut &[u8], what: &str) -> GsnResult<u8> {
     Ok(take(buf, 1, what)?[0])
 }
 
-fn read_u32(buf: &mut &[u8], what: &str) -> GsnResult<u32> {
+/// Reads a little-endian `u32`.
+pub fn read_u32(buf: &mut &[u8], what: &str) -> GsnResult<u32> {
     Ok(u32::from_le_bytes(take(buf, 4, what)?.try_into().unwrap()))
 }
 
-fn read_u64(buf: &mut &[u8], what: &str) -> GsnResult<u64> {
+/// Reads a little-endian `u64`.
+pub fn read_u64(buf: &mut &[u8], what: &str) -> GsnResult<u64> {
     Ok(u64::from_le_bytes(take(buf, 8, what)?.try_into().unwrap()))
 }
 
-fn read_i64(buf: &mut &[u8], what: &str) -> GsnResult<i64> {
+/// Reads a little-endian `i64`.
+pub fn read_i64(buf: &mut &[u8], what: &str) -> GsnResult<i64> {
     Ok(i64::from_le_bytes(take(buf, 8, what)?.try_into().unwrap()))
 }
 
-fn write_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
+/// Appends `bytes` with its `u32` length prefix.
+pub fn write_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
     out.extend_from_slice(bytes);
 }
 
-fn read_bytes<'a>(buf: &mut &'a [u8], what: &str) -> GsnResult<&'a [u8]> {
+/// Reads a blob written by [`write_bytes`].
+pub fn read_bytes<'a>(buf: &mut &'a [u8], what: &str) -> GsnResult<&'a [u8]> {
     let len = read_u32(buf, what)? as usize;
     take(buf, len, what)
+}
+
+/// Reads a string written by [`write_bytes`], rejecting invalid UTF-8.
+pub fn read_string(buf: &mut &[u8], what: &str) -> GsnResult<String> {
+    String::from_utf8(read_bytes(buf, what)?.to_vec())
+        .map_err(|_| GsnError::storage(format!("corrupt record: invalid UTF-8 {what}")))
+}
+
+/// Reads a `u32` element count, then that many elements with `item`.
+///
+/// Every element takes at least one byte, so the pre-allocation is capped by the bytes
+/// left in `buf`: a corrupt count fails on truncation instead of reserving memory.
+pub fn read_vec<T>(
+    buf: &mut &[u8],
+    what: &str,
+    mut item: impl FnMut(&mut &[u8]) -> GsnResult<T>,
+) -> GsnResult<Vec<T>> {
+    let count = read_u32(buf, what)? as usize;
+    let mut out = Vec::with_capacity(count.min(buf.len()));
+    for _ in 0..count {
+        out.push(item(buf)?);
+    }
+    Ok(out)
 }
 
 /// Appends the binary encoding of one value to `out`.
@@ -109,13 +144,7 @@ pub fn decode_value(buf: &mut &[u8]) -> GsnResult<Value> {
         TAG_NULL => Value::Null,
         TAG_INTEGER => Value::Integer(read_i64(buf, "integer")?),
         TAG_DOUBLE => Value::Double(f64::from_bits(read_u64(buf, "double")?)),
-        TAG_VARCHAR => {
-            let bytes = read_bytes(buf, "varchar")?;
-            Value::Varchar(
-                String::from_utf8(bytes.to_vec())
-                    .map_err(|_| GsnError::storage("corrupt record: invalid UTF-8 varchar"))?,
-            )
-        }
+        TAG_VARCHAR => Value::Varchar(read_string(buf, "varchar")?),
         TAG_BOOLEAN_FALSE => Value::Boolean(false),
         TAG_BOOLEAN_TRUE => Value::Boolean(true),
         TAG_BINARY => Value::binary(read_bytes(buf, "binary")?.to_vec()),
@@ -195,15 +224,11 @@ pub fn encode_schema(schema: &StreamSchema) -> Vec<u8> {
 
 /// Decodes a schema written by [`encode_schema`], advancing `buf` past it.
 pub fn decode_schema(buf: &mut &[u8]) -> GsnResult<StreamSchema> {
-    let count = read_u32(buf, "schema field count")? as usize;
-    let mut pairs: Vec<(String, DataType)> = Vec::with_capacity(count);
-    for _ in 0..count {
-        let name = String::from_utf8(read_bytes(buf, "field name")?.to_vec())
-            .map_err(|_| GsnError::storage("corrupt schema: invalid UTF-8 field name"))?;
-        let type_name = String::from_utf8(read_bytes(buf, "field type")?.to_vec())
-            .map_err(|_| GsnError::storage("corrupt schema: invalid UTF-8 type name"))?;
-        pairs.push((name, DataType::parse(&type_name)?));
-    }
+    let pairs = read_vec(buf, "schema field count", |buf| {
+        let name = read_string(buf, "field name")?;
+        let type_name = read_string(buf, "field type")?;
+        Ok((name, DataType::parse(&type_name)?))
+    })?;
     let borrowed: Vec<(&str, DataType)> = pairs.iter().map(|(n, t)| (n.as_str(), *t)).collect();
     StreamSchema::from_pairs(&borrowed)
 }
@@ -305,6 +330,41 @@ mod tests {
         let decoded = decode_schema(&mut cursor).unwrap();
         assert!(cursor.is_empty());
         assert_eq!(&decoded, s.as_ref());
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn disk_bytes_are_pinned() {
+        // The on-disk layout of pages, heap headers and the WAL: these bytes must not
+        // change, or existing data directories stop reading back.
+        let element = sample();
+        assert_eq!(
+            hex(&encode_row(&element)),
+            "4d00000000000000d20400000000000001b004000000000000070000\
+             0001ebffffffffffffff030500000062633134330604000000000102ff\
+             05020000000000c87b4007630000000000000000"
+        );
+        assert_eq!(
+            hex(&encode_schema(element.schema())),
+            "070000000b00000054454d504552415455524507000000696e746567\
+             657204000000524f4f4d0700000076617263686172050000004652414d\
+             450600000062696e617279020000004f4b07000000626f6f6c65616e05\
+             0000004c4947485406000000646f75626c65040000005345454e090000\
+             0074696d657374616d70070000004d495353494e470700000076617263\
+             686172"
+        );
+    }
+
+    #[test]
+    fn corrupt_counts_fail_without_reserving_memory() {
+        // A schema claiming u32::MAX fields in a 4-byte buffer must fail on truncation,
+        // not try to reserve room for four billion fields.
+        let mut cursor: &[u8] = &u32::MAX.to_le_bytes();
+        let err = decode_schema(&mut cursor).unwrap_err();
+        assert!(matches!(err, GsnError::Storage(_)), "{err:?}");
     }
 
     #[test]

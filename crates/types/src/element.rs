@@ -7,8 +7,6 @@
 use std::fmt;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{GsnError, GsnResult};
 use crate::schema::StreamSchema;
 use crate::time::Timestamp;
@@ -21,7 +19,7 @@ use crate::value::Value;
 /// element also carries an optional *production* timestamp distinct from the reception
 /// timestamp — GSN explicitly supports multiple time attributes to make observation delays
 /// visible rather than hiding them.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StreamElement {
     schema: Arc<StreamSchema>,
     values: Vec<Value>,

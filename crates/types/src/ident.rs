@@ -6,8 +6,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::GsnError;
 
 /// Checks that `s` is a valid GSN identifier: non-empty, starts with a letter or
@@ -37,7 +35,7 @@ fn validate_ident(s: &str, what: &str, allow_dash: bool) -> Result<(), GsnError>
 /// The name of a virtual sensor, unique within a container and used as the key under which
 /// the sensor is published to the directory.  Stored lower-case (names are
 /// case-insensitive, as in GSN where they double as table names).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VirtualSensorName(String);
 
 impl VirtualSensorName {
@@ -69,7 +67,7 @@ impl std::str::FromStr for VirtualSensorName {
 
 /// A stream field name.  Stored upper-case, matching GSN's SQL-facing convention
 /// (`select AVG(TEMPERATURE) from WRAPPER`).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FieldName(String);
 
 impl FieldName {
@@ -100,7 +98,7 @@ impl std::str::FromStr for FieldName {
 }
 
 /// Identifies one GSN container (node) in the simulated peer-to-peer overlay.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u64);
 
 impl NodeId {

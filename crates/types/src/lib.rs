@@ -16,10 +16,8 @@
 //!   [`SimulatedClock`] so that experiments are deterministic and fast.
 //! * [`GsnError`] — the error type used across the workspace.
 //! * [`ident`] — validated identifiers for virtual sensors, fields and nodes.
-//! * [`codec`] — the binary record format shared by the persistent storage engine's
-//!   pages and write-ahead log.
-//! * [`json`] — a minimal JSON writer used by benchmark harnesses to emit machine-readable
-//!   reports without pulling extra dependencies.
+//! * [`codec`] — the one binary layout of values, rows and schemas, shared by the
+//!   storage engine's pages and write-ahead log and by the inter-container wire.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -30,7 +28,6 @@ pub mod element;
 pub mod epoch;
 pub mod error;
 pub mod ident;
-pub mod json;
 pub mod schema;
 pub mod time;
 pub mod value;

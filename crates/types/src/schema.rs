@@ -6,14 +6,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::GsnError;
 use crate::ident::FieldName;
 use crate::value::{DataType, Value};
 
 /// One declared field of a stream: a validated name plus a data type.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FieldSpec {
     /// The (case-insensitive, stored upper-case) field name.
     pub name: FieldName,
@@ -58,7 +56,7 @@ impl fmt::Display for FieldSpec {
 /// GSN reserves two implicit attributes on every stream: `TIMED` (the tuple timestamp) and
 /// `PK` (a monotonically increasing element id).  Those are **not** part of the schema; the
 /// storage layer and SQL engine expose them as virtual columns.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct StreamSchema {
     fields: Vec<FieldSpec>,
 }

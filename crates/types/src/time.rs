@@ -9,16 +9,12 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A point in time, in milliseconds since an arbitrary epoch.
 ///
 /// GSN assigns a reception timestamp to every tuple that arrives without one.  Timestamps
 /// are totally ordered; the ordering of a data stream is derived from the ordering of its
 /// timestamps (paper, Section 3).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Timestamp(pub i64);
 
 impl Timestamp {
@@ -118,9 +114,7 @@ impl Sub<Timestamp> for Timestamp {
 /// sampling intervals, history sizes and disconnect-buffer horizons.  Negative durations
 /// are representable (they arise from subtracting timestamps) but descriptor parsing only
 /// accepts non-negative spans.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Duration(pub i64);
 
 impl Duration {

@@ -11,13 +11,11 @@ use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::GsnError;
 use crate::time::Timestamp;
 
 /// The declared type of a stream field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataType {
     /// 64-bit signed integer (`integer`, `bigint`, `int` in descriptors).
     Integer,
@@ -96,7 +94,7 @@ impl fmt::Display for DataType {
 /// Binary payloads are reference counted so that a 75 KB camera frame fanned out to 500
 /// subscribers is shared, not copied — the cost model of the paper's Figure 4 experiment
 /// depends on the per-element processing, not on artificial copies.
-#[derive(Debug, Clone, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Default)]
 pub enum Value {
     /// SQL NULL / missing reading.
     #[default]

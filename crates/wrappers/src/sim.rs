@@ -7,27 +7,38 @@
 //! and stream-quality tests.
 
 use gsn_types::{Duration, Timestamp};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// A deterministic pseudo-random source seeded per device so that two runs of a benchmark
-/// produce identical streams.
+/// produce identical streams: a SplitMix64 generator.  Statistical quality beyond
+/// SplitMix64 is not needed; determinism across runs is the contract.
 #[derive(Debug, Clone)]
 pub struct DeviceRng {
-    rng: StdRng,
+    state: u64,
 }
+
+const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
 impl DeviceRng {
     /// Creates a generator from a seed.
     pub fn new(seed: u64) -> DeviceRng {
         DeviceRng {
-            rng: StdRng::seed_from_u64(seed),
+            // Avoid the all-zero fixed point and decorrelate small seeds.
+            state: seed.wrapping_add(GOLDEN_GAMMA),
         }
     }
 
-    /// A uniform float in `[0, 1)`.
+    /// The next 64 random bits (one SplitMix64 step).
+    fn next_u64(&mut self) -> u64 {
+        self.state = self.state.wrapping_add(GOLDEN_GAMMA);
+        let mut z = self.state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A uniform float in `[0, 1)`: 53 uniform mantissa bits.
     pub fn unit(&mut self) -> f64 {
-        self.rng.gen::<f64>()
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// A uniform float in `[low, high)`.
@@ -35,7 +46,7 @@ impl DeviceRng {
         if high <= low {
             return low;
         }
-        self.rng.gen_range(low..high)
+        low + self.unit() * (high - low)
     }
 
     /// A uniform integer in `[low, high]`.
@@ -43,12 +54,14 @@ impl DeviceRng {
         if high <= low {
             return low;
         }
-        self.rng.gen_range(low..=high)
+        let span = (high as i128 - low as i128) as u128 + 1;
+        let offset = (self.next_u64() as u128) % span;
+        (low as i128 + offset as i128) as i64
     }
 
     /// True with probability `p`.
     pub fn chance(&mut self, p: f64) -> bool {
-        self.rng.gen_bool(p.clamp(0.0, 1.0))
+        self.unit() < p.clamp(0.0, 1.0)
     }
 
     /// Fills a byte payload of the given size (compressible but non-constant content).
@@ -59,7 +72,7 @@ impl DeviceRng {
         let step = (size / 64).max(1);
         let mut i = 0;
         while i < size {
-            bytes[i] = self.rng.gen();
+            bytes[i] = (self.next_u64() >> 56) as u8;
             i += step;
         }
         bytes
@@ -222,6 +235,39 @@ mod tests {
         let va: Vec<i64> = (0..10).map(|_| a.range_i64(0, 1000)).collect();
         let vc: Vec<i64> = (0..10).map(|_| c.range_i64(0, 1000)).collect();
         assert_ne!(va, vc);
+    }
+
+    #[test]
+    fn device_streams_match_their_pinned_first_draws() {
+        // Captured from the generator before it moved into `DeviceRng`: every seeded
+        // device stream must stay identical.
+        let mut rng = DeviceRng::new(2024);
+        let units: Vec<u64> = (0..3).map(|_| rng.unit().to_bits()).collect();
+        assert_eq!(
+            units,
+            [
+                0x3fb8_e430_bb15_11f0,
+                0x3fd3_1bdf_2fd6_36e8,
+                0x3fbd_be69_e0ae_9bb8
+            ]
+        );
+        let floats: Vec<u64> = (0..3).map(|_| rng.range_f64(-2.5, 7.0).to_bits()).collect();
+        assert_eq!(
+            floats,
+            [
+                0x4015_8fdc_b50c_e98e,
+                0x4005_fbe8_a47b_4096,
+                0xbff3_36a4_2f88_fee4
+            ]
+        );
+        let ints: Vec<i64> = (0..3).map(|_| rng.range_i64(-5, 1000)).collect();
+        assert_eq!(ints, [937, 687, 832]);
+        let coins: Vec<bool> = (0..6).map(|_| rng.chance(0.5)).collect();
+        assert_eq!(coins, [true, false, false, false, true, false]);
+        assert_eq!(rng.payload(8), [253, 86, 206, 114, 128, 169, 68, 113]);
+        let frame = rng.payload(256);
+        assert_eq!(&frame[..9], &[189, 0, 0, 0, 233, 0, 0, 0, 92]);
+        assert_eq!(rng.range_i64(0, i64::MAX), 3_610_606_104_354_694_505);
     }
 
     #[test]

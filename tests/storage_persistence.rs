@@ -910,3 +910,44 @@ fn durable_open_refuses_a_non_empty_legacy_table_wal() {
     drop(storage);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The schema's field count sits in the segment header (bytes 44..48) and no checksum
+/// covers it.  A corrupt count must make the open fail with a storage error, not make
+/// the decoder reserve room for billions of fields and abort the process.
+#[test]
+fn corrupt_segment_schema_count_is_a_storage_error() {
+    let dir = temp_dir("schema-count");
+    let schema = Arc::new(StreamSchema::from_pairs(&[("v", DataType::Integer)]).unwrap());
+    let storage = StorageManager::persistent(&dir);
+    storage
+        .create_table_durable("history", Arc::clone(&schema), Retention::Unbounded)
+        .unwrap();
+    let e = StreamElement::new(Arc::clone(&schema), vec![Value::Integer(1)], Timestamp(1)).unwrap();
+    storage.insert("history", e, Timestamp(1)).unwrap();
+    drop(storage);
+
+    let segments: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "seg"))
+        .collect();
+    assert!(!segments.is_empty(), "no segment file written");
+    for path in &segments {
+        let mut bytes = std::fs::read(path).unwrap();
+        assert_eq!(
+            &bytes[44..48],
+            &1u32.to_le_bytes(),
+            "field count offset moved"
+        );
+        bytes[44..48].copy_from_slice(&u32::MAX.to_le_bytes());
+        std::fs::write(path, bytes).unwrap();
+    }
+
+    let storage = StorageManager::persistent(&dir);
+    let err = storage
+        .create_table_durable("history", schema, Retention::Unbounded)
+        .unwrap_err();
+    assert!(matches!(err, GsnError::Storage(_)), "{err:?}");
+    drop(storage);
+    std::fs::remove_dir_all(&dir).ok();
+}

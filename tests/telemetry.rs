@@ -474,10 +474,9 @@ proptest! {
     }
 }
 
-/// Mixed meshes keep working: an untraced container speaks the pre-extension
-/// wire format (its frames carry no trace/health extensions at all), serves
-/// traced coordinators without contributing spans, and — as a coordinator —
-/// runs federated queries that never start a trace.
+/// Mixed meshes keep working: an untraced container sends no trace context in
+/// its frames, serves traced coordinators without contributing spans, and — as
+/// a coordinator — runs federated queries that never start a trace.
 #[test]
 fn untraced_containers_interoperate_with_traced_ones() {
     let (mut mesh, ids) = tracing_mesh(&[true, true, true, false]);
@@ -500,8 +499,8 @@ fn untraced_containers_interoperate_with_traced_ones() {
     assert_eq!(traces[0].nodes, traced_members);
     assert!(!traces[0].incomplete);
 
-    // Untraced coordinator: the query itself works (frames byte-identical to the
-    // legacy format), and no trace is started or collected anywhere.
+    // Untraced coordinator: the query itself works (its frames carry no trace
+    // context), and no trace is started or collected anywhere.
     let rel = mesh
         .federated_query(
             ids[3],
