@@ -162,13 +162,10 @@ impl Mesh {
     pub fn step(&mut self, delta: Duration) -> StepReport {
         self.clock.advance(delta);
         let mut report = StepReport::default();
-        for container in self.nodes.values_mut() {
-            let r = container.step();
-            report.absorb(r);
-        }
-        for container in self.nodes.values_mut() {
-            let r = container.step();
-            report.absorb(r);
+        for _pass in 0..2 {
+            for container in self.nodes.values_mut() {
+                report.absorb(container.step());
+            }
         }
         report
     }
@@ -223,6 +220,10 @@ mod tests {
     use super::*;
     use gsn_types::DataType;
     use gsn_xml::{AddressSpec, InputStreamSpec, StreamSourceSpec, VirtualSensorDescriptor};
+
+    fn deploy(mesh: &mut Mesh, node: NodeId, descriptor: VirtualSensorDescriptor) {
+        mesh.node_mut(node).unwrap().deploy(descriptor).unwrap();
+    }
 
     fn producer_descriptor() -> VirtualSensorDescriptor {
         VirtualSensorDescriptor::builder("room-bc143-temperature")
@@ -293,17 +294,11 @@ mod tests {
         let consumer_node = fed.add_node("consumer").unwrap();
         fed.set_link(producer_node, consumer_node, LinkSpec::lan());
 
-        fed.node_mut(producer_node)
-            .unwrap()
-            .deploy(producer_descriptor())
-            .unwrap();
+        deploy(&mut fed, producer_node, producer_descriptor());
         // Once gossip carries the producer's entry to the consumer's replica, the
         // consumer's remote source resolves.
         fed.run_for(Duration::from_secs(1), Duration::from_millis(100));
-        fed.node_mut(consumer_node)
-            .unwrap()
-            .deploy(consumer_descriptor())
-            .unwrap();
+        deploy(&mut fed, consumer_node, consumer_descriptor());
         assert_eq!(
             fed.node(consumer_node).unwrap().replica_lookup(&[]).len(),
             2
@@ -334,16 +329,29 @@ mod tests {
         assert!(fed.network().stats().delivered > 0);
     }
 
+    /// Steps the mesh in 10 ms ticks until `request`'s result can be taken.
+    fn await_remote(
+        fed: &mut Mesh,
+        client: NodeId,
+        request: gsn_network::RequestId,
+    ) -> GsnResult<crate::RemoteQueryResult> {
+        for _ in 0..50 {
+            fed.step(Duration::from_millis(10));
+            let node = fed.node_mut(client).unwrap();
+            if let Some(result) = node.take_remote_query_result(request) {
+                return result;
+            }
+        }
+        panic!("remote query never completed");
+    }
+
     #[test]
     fn remote_streaming_query_ships_incremental_batches() {
         let mut fed = Mesh::new();
         let producer_node = fed.add_node("producer").unwrap();
         let client_node = fed.add_node("client").unwrap();
         fed.set_link(producer_node, client_node, LinkSpec::lan());
-        fed.node_mut(producer_node)
-            .unwrap()
-            .deploy(producer_descriptor())
-            .unwrap();
+        deploy(&mut fed, producer_node, producer_descriptor());
         // Accumulate ~20 output rows in the producer's permanent-storage table.
         fed.run_for(Duration::from_secs(2), Duration::from_millis(100));
 
@@ -356,19 +364,7 @@ mod tests {
                 4,
             )
             .unwrap();
-        let mut result = None;
-        for _ in 0..50 {
-            fed.step(Duration::from_millis(10));
-            if let Some(r) = fed
-                .node_mut(client_node)
-                .unwrap()
-                .take_remote_query_result(request)
-            {
-                result = Some(r.unwrap());
-                break;
-            }
-        }
-        let result = result.expect("remote query never completed");
+        let result = await_remote(&mut fed, client_node, request).unwrap();
         assert!(result.relation.row_count() >= 20, "{result:?}");
         assert!(
             result.batches > 1,
@@ -385,20 +381,8 @@ mod tests {
             .unwrap()
             .remote_query(producer_node, "select * from nosuch_table", 4)
             .unwrap();
-        let mut error = None;
-        for _ in 0..50 {
-            fed.step(Duration::from_millis(10));
-            if let Some(r) = fed
-                .node_mut(client_node)
-                .unwrap()
-                .take_remote_query_result(request)
-            {
-                error = Some(r.unwrap_err());
-                break;
-            }
-        }
-        let error = error.expect("error never surfaced").to_string();
-        assert!(error.contains("nosuch_table"), "{error}");
+        let error = await_remote(&mut fed, client_node, request).unwrap_err();
+        assert!(error.to_string().contains("nosuch_table"), "{error}");
     }
 
     #[test]
@@ -410,10 +394,7 @@ mod tests {
         // QueryBatch messages are all lost regularly.  Batch sequence numbers plus the
         // client's re-request timer must recover every loss.
         fed.set_link(producer_node, client_node, LinkSpec::wireless(5, 0.3));
-        fed.node_mut(producer_node)
-            .unwrap()
-            .deploy(producer_descriptor())
-            .unwrap();
+        deploy(&mut fed, producer_node, producer_descriptor());
         fed.run_for(Duration::from_secs(2), Duration::from_millis(100));
         let reference = fed
             .node_mut(producer_node)
@@ -476,10 +457,7 @@ mod tests {
         let mut fed = Mesh::new();
         let producer_node = fed.add_node("producer").unwrap();
         let client_node = fed.add_node("client").unwrap();
-        fed.node_mut(producer_node)
-            .unwrap()
-            .deploy(producer_descriptor())
-            .unwrap();
+        deploy(&mut fed, producer_node, producer_descriptor());
         fed.run_for(Duration::from_secs(1), Duration::from_millis(100));
 
         // A raw QueryRequest whose follow-up pulls never come: the request id is
@@ -493,7 +471,6 @@ mod tests {
                     request: 999,
                     sql: "select temperature from room_bc143_temperature".into(),
                     batch_rows: 1,
-                    prefetch: false,
                     trace: None,
                 },
                 fed.now(),
@@ -559,15 +536,9 @@ mod tests {
         let mut fed = Mesh::new();
         let producer_node = fed.add_node("producer").unwrap();
         let consumer_node = fed.add_node("consumer").unwrap();
-        fed.node_mut(producer_node)
-            .unwrap()
-            .deploy(producer_descriptor())
-            .unwrap();
+        deploy(&mut fed, producer_node, producer_descriptor());
         fed.run_for(Duration::from_secs(1), Duration::from_millis(100));
-        fed.node_mut(consumer_node)
-            .unwrap()
-            .deploy(consumer_descriptor())
-            .unwrap();
+        deploy(&mut fed, consumer_node, consumer_descriptor());
         // Let the subscription get established.
         fed.run_for(Duration::from_millis(300), Duration::from_millis(100));
 
@@ -604,13 +575,14 @@ mod tests {
         );
     }
 
-    fn local_count(container: &mut GsnContainer) -> i64 {
-        container
-            .query("select count(*) as n from room_bc143_temperature")
-            .unwrap()
-            .rows()[0][0]
-            .as_integer()
-            .unwrap()
+    fn count(mesh: &Mesh, node: NodeId, table: &str) -> i64 {
+        let sql = format!("select count(*) from {table}");
+        let relation = mesh.node(node).unwrap().query(&sql).unwrap();
+        relation.rows()[0][0].as_integer().unwrap()
+    }
+
+    fn local_count(mesh: &Mesh, node: &NodeId) -> i64 {
+        count(mesh, *node, "room_bc143_temperature")
     }
 
     #[test]
@@ -625,10 +597,7 @@ mod tests {
             assert!(mesh.node(node).unwrap().mesh_enabled());
         }
 
-        mesh.node_mut(a)
-            .unwrap()
-            .deploy(producer_descriptor())
-            .unwrap();
+        deploy(&mut mesh, a, producer_descriptor());
         // The consumer cannot deploy before gossip has replicated the producer's entry.
         let err = mesh
             .node_mut(c)
@@ -648,17 +617,9 @@ mod tests {
         );
         // Now the remote stream source resolves from c's local replica — no central
         // directory exists anywhere in this test.
-        mesh.node_mut(c)
-            .unwrap()
-            .deploy(consumer_descriptor())
-            .unwrap();
+        deploy(&mut mesh, c, consumer_descriptor());
         mesh.run_for(Duration::from_secs(2), Duration::from_millis(100));
-        let rel = mesh
-            .node_mut(c)
-            .unwrap()
-            .query("select count(*) as n from averaged_bc143")
-            .unwrap();
-        assert!(rel.rows()[0][0].as_integer().unwrap() > 0);
+        assert!(count(&mesh, c, "averaged_bc143") > 0);
         assert!(mesh.network().sent_of_kind("gossip-digest") > 0);
         assert!(mesh.network().sent_of_kind("gossip-delta") > 0);
     }
@@ -671,18 +632,12 @@ mod tests {
         let c = mesh.add_node("node-c").unwrap();
         // Every node hosts a shard of the same logical table.
         for node in [a, b, c] {
-            mesh.node_mut(node)
-                .unwrap()
-                .deploy(producer_descriptor())
-                .unwrap();
+            deploy(&mut mesh, node, producer_descriptor());
         }
         mesh.run_for(Duration::from_secs(2), Duration::from_millis(100));
         assert!(mesh.replicas_converged());
 
-        let before: i64 = [a, b, c]
-            .iter()
-            .map(|n| local_count(mesh.node_mut(*n).unwrap()))
-            .sum();
+        let before: i64 = [a, b, c].iter().map(|n| local_count(&mesh, n)).sum();
         let rel = mesh
             .federated_query(
                 a,
@@ -691,10 +646,7 @@ mod tests {
                 50,
             )
             .unwrap();
-        let after: i64 = [a, b, c]
-            .iter()
-            .map(|n| local_count(mesh.node_mut(*n).unwrap()))
-            .sum();
+        let after: i64 = [a, b, c].iter().map(|n| local_count(&mesh, n)).sum();
         let n = rel.rows()[0][0].as_integer().unwrap();
         // Producers keep producing while the scatter runs, so the federated count sits
         // between the pre-issue and post-completion totals.
@@ -716,17 +668,11 @@ mod tests {
         let a = mesh.add_node("node-a").unwrap();
         let b = mesh.add_node("node-b").unwrap();
         for node in [a, b] {
-            mesh.node_mut(node)
-                .unwrap()
-                .deploy(producer_descriptor())
-                .unwrap();
+            deploy(&mut mesh, node, producer_descriptor());
         }
         mesh.run_for(Duration::from_secs(2), Duration::from_millis(100));
 
-        let before: i64 = [a, b]
-            .iter()
-            .map(|n| local_count(mesh.node_mut(*n).unwrap()))
-            .sum();
+        let before: i64 = [a, b].iter().map(|n| local_count(&mesh, n)).sum();
         // A plain projection is not decomposable: the coordinator falls back to
         // shipping each host's rows and evaluating the SQL over the union.
         let rel = mesh
@@ -737,10 +683,7 @@ mod tests {
                 50,
             )
             .unwrap();
-        let after: i64 = [a, b]
-            .iter()
-            .map(|n| local_count(mesh.node_mut(*n).unwrap()))
-            .sum();
+        let after: i64 = [a, b].iter().map(|n| local_count(&mesh, n)).sum();
         let rows = rel.row_count() as i64;
         assert!(
             (before..=after).contains(&rows),
@@ -756,10 +699,7 @@ mod tests {
         let b = mesh.add_node("node-b").unwrap();
         let c = mesh.add_node("node-c").unwrap();
         for node in [a, b, c] {
-            mesh.node_mut(node)
-                .unwrap()
-                .deploy(producer_descriptor())
-                .unwrap();
+            deploy(&mut mesh, node, producer_descriptor());
         }
         mesh.run_for(Duration::from_secs(1), Duration::from_millis(100));
         assert!(mesh.replicas_converged());
@@ -795,148 +735,125 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_remote_query_matches_plain_result() {
-        let mut fed = Mesh::new();
-        let producer_node = fed.add_node("producer").unwrap();
-        let client_node = fed.add_node("client").unwrap();
-        fed.set_link(producer_node, client_node, LinkSpec::lan());
-        fed.node_mut(producer_node)
-            .unwrap()
-            .deploy(producer_descriptor())
-            .unwrap();
-        fed.run_for(Duration::from_secs(2), Duration::from_millis(100));
-
-        let sql = "select pk, temperature from room_bc143_temperature where pk <= 20";
-        let request = fed
-            .node_mut(client_node)
-            .unwrap()
-            .remote_query_prefetch(producer_node, sql, 4)
-            .unwrap();
-        let mut prefetched = None;
-        for _ in 0..50 {
-            fed.step(Duration::from_millis(10));
-            if let Some(r) = fed
-                .node_mut(client_node)
-                .unwrap()
-                .take_remote_query_result(request)
-            {
-                prefetched = Some(r.unwrap());
-                break;
-            }
-        }
-        let prefetched = prefetched.expect("prefetch query never completed");
-        assert_eq!(prefetched.relation.row_count(), 20);
-        assert!(prefetched.batches > 1);
-        // The client acked only every PREFETCH_ACK_EVERY batches; the skipped acks are
-        // the prefetch hits.
-        assert!(
-            fed.node(client_node)
-                .unwrap()
-                .metrics_snapshot()
-                .get("gsn_federation_prefetch_hits_total")
-                .and_then(|s| s.as_counter())
-                .unwrap_or(0)
-                > 0
-        );
-        assert_eq!(fed.node(producer_node).unwrap().open_remote_cursors(), 0);
-
-        let request = fed
-            .node_mut(client_node)
-            .unwrap()
-            .remote_query(producer_node, sql, 4)
-            .unwrap();
-        let mut plain = None;
-        for _ in 0..50 {
-            fed.step(Duration::from_millis(10));
-            if let Some(r) = fed
-                .node_mut(client_node)
-                .unwrap()
-                .take_remote_query_result(request)
-            {
-                plain = Some(r.unwrap());
-                break;
-            }
-        }
-        let plain = plain.expect("plain query never completed");
-        assert_eq!(
-            plain.relation.rows(),
-            prefetched.relation.rows(),
-            "prefetch must not change results"
-        );
-    }
-
-    #[test]
-    fn prefetch_remote_query_survives_a_lossy_link() {
-        let mut fed = Mesh::new();
-        let producer_node = fed.add_node("producer").unwrap();
-        let client_node = fed.add_node("client").unwrap();
-        fed.set_link(producer_node, client_node, LinkSpec::wireless(5, 0.3));
-        fed.node_mut(producer_node)
-            .unwrap()
-            .deploy(producer_descriptor())
-            .unwrap();
-        fed.run_for(Duration::from_secs(2), Duration::from_millis(100));
-
-        let request = fed
-            .node_mut(client_node)
-            .unwrap()
-            .remote_query_prefetch(
-                producer_node,
-                "select pk from room_bc143_temperature where pk <= 20",
-                2,
-            )
-            .unwrap();
-        let mut result = None;
-        for _ in 0..400 {
-            fed.step(Duration::from_millis(500));
-            if let Some(r) = fed
-                .node_mut(client_node)
-                .unwrap()
-                .take_remote_query_result(request)
-            {
-                result = Some(r.unwrap());
-                break;
-            }
-        }
-        let result = result.expect("prefetch query never completed over the lossy link");
-        let pks: Vec<i64> = result
-            .relation
-            .rows()
-            .iter()
-            .map(|r| r[0].as_integer().unwrap())
-            .collect();
-        let expected: Vec<i64> = (1..=20).collect();
-        assert_eq!(pks, expected, "gaps or duplicates after retransmission");
-        assert!(fed.network().stats().dropped > 0);
-    }
-
-    #[test]
     fn multiple_producers_same_metadata_resolve_deterministically() {
         let mut fed = Mesh::new();
         let a = fed.add_node("a").unwrap();
         let b = fed.add_node("b").unwrap();
         let c = fed.add_node("c").unwrap();
-        fed.node_mut(a)
-            .unwrap()
-            .deploy(producer_descriptor())
-            .unwrap();
+        deploy(&mut fed, a, producer_descriptor());
         // Node b publishes a different sensor with the same metadata.
         let mut alt = producer_descriptor();
         alt.name = gsn_types::VirtualSensorName::new("room-bc143-temperature-backup").unwrap();
         fed.node_mut(b).unwrap().deploy(alt).unwrap();
         fed.run_for(Duration::from_secs(1), Duration::from_millis(100));
         // The consumer resolves to the deterministic first match (lowest node id).
-        fed.node_mut(c)
-            .unwrap()
-            .deploy(consumer_descriptor())
-            .unwrap();
+        deploy(&mut fed, c, consumer_descriptor());
         let report = fed.run_for(Duration::from_secs(1), Duration::from_millis(100));
         assert!(report.outputs > 0);
-        let rel = fed
-            .node_mut(c)
+        assert!(count(&fed, c, "averaged_bc143") > 0);
+    }
+
+    fn remote_delivered(mesh: &Mesh, node: NodeId) -> u64 {
+        mesh.node(node)
             .unwrap()
-            .query("select count(*) from averaged_bc143")
+            .status()
+            .notifications
+            .remote_delivered
+    }
+
+    /// A producer and a remote consumer on their own nodes, streaming.
+    fn streaming_pair(mesh: &mut Mesh) -> (NodeId, NodeId) {
+        let producer = mesh.add_node("producer").unwrap();
+        let consumer = mesh.add_node("consumer").unwrap();
+        deploy(mesh, producer, producer_descriptor());
+        mesh.run_for(Duration::from_secs(1), Duration::from_millis(100));
+        deploy(mesh, consumer, consumer_descriptor());
+        mesh.run_for(Duration::from_secs(1), Duration::from_millis(100));
+        assert!(count(mesh, consumer, "averaged_bc143") > 0);
+        (producer, consumer)
+    }
+
+    #[test]
+    fn a_consumer_next_to_its_producer_gets_every_element_once() {
+        let mut mesh = Mesh::new();
+        let node = mesh.add_node("solo").unwrap();
+        deploy(&mut mesh, node, producer_descriptor());
+        deploy(&mut mesh, node, consumer_descriptor());
+        mesh.run_for(Duration::from_secs(3), Duration::from_millis(100));
+        assert_eq!(local_count(&mesh, &node), 30);
+        assert_eq!(count(&mesh, node, "averaged_bc143"), 30);
+        // The loop-back route delivers directly: no frame ever crosses the network,
+        // before or after the consumer leaves.
+        mesh.node_mut(node)
+            .unwrap()
+            .undeploy("averaged-bc143")
             .unwrap();
-        assert!(rel.rows()[0][0].as_integer().unwrap() > 0);
+        mesh.run_for(Duration::from_secs(3), Duration::from_millis(100));
+        assert_eq!(mesh.network().stats().sent, 0);
+    }
+
+    #[test]
+    fn a_lost_unsubscribe_is_repaired_by_the_next_delivery() {
+        let mut mesh = Mesh::new();
+        let (producer, consumer) = streaming_pair(&mut mesh);
+        // The Unsubscribe sent at undeploy is refused by the partition.
+        mesh.network().partition(producer, consumer);
+        let node = mesh.node_mut(consumer).unwrap();
+        node.undeploy("averaged-bc143").unwrap();
+        mesh.run_for(Duration::from_secs(1), Duration::from_millis(100));
+        mesh.network().heal_partition(producer, consumer);
+        // The first delivery after the heal finds no route and is answered with an
+        // Unsubscribe: the producer stops delivering.
+        mesh.run_for(Duration::from_secs(1), Duration::from_millis(100));
+        let delivered = remote_delivered(&mesh, producer);
+        mesh.run_for(Duration::from_secs(10), Duration::from_millis(100));
+        assert_eq!(remote_delivered(&mesh, producer), delivered);
+    }
+
+    #[test]
+    fn a_third_node_cannot_cancel_another_nodes_subscription() {
+        let mut mesh = Mesh::new();
+        let (producer, consumer) = streaming_pair(&mut mesh);
+        let intruder = mesh.add_node("intruder").unwrap();
+        let sensor = "room-bc143-temperature".to_owned();
+        let unsubscribe = gsn_network::Message::Unsubscribe { sensor };
+        let network = Arc::clone(mesh.network());
+        network
+            .send(intruder, producer, unsubscribe, mesh.now())
+            .unwrap();
+        mesh.run_for(Duration::from_secs(1), Duration::from_millis(100));
+        let before = count(&mesh, consumer, "averaged_bc143");
+        mesh.run_for(Duration::from_secs(1), Duration::from_millis(100));
+        assert!(count(&mesh, consumer, "averaged_bc143") > before);
+    }
+
+    #[test]
+    fn only_the_scraped_peer_can_answer_a_scrape() {
+        let mut mesh = Mesh::new();
+        let (a, b) = (mesh.add_node("a").unwrap(), mesh.add_node("b").unwrap());
+        let forger = mesh.add_node("forger").unwrap();
+        let request = mesh.node_mut(a).unwrap().request_peer_metrics(b).unwrap();
+        // A forged answer to the pending scrape, and an unsolicited snapshot.
+        let network = Arc::clone(mesh.network());
+        for request in [request, request + 100] {
+            let snapshot = gsn_telemetry::MetricsSnapshot::default();
+            let forged = gsn_network::Message::MetricsSnapshot { request, snapshot };
+            network.send(forger, a, forged, mesh.now()).unwrap();
+        }
+        mesh.step(Duration::from_millis(10));
+        let container = mesh.node_mut(a).unwrap();
+        assert!(container.take_peer_metrics(request).is_none());
+        assert!(container.peer_metrics(forger).is_none());
+        mesh.step(Duration::from_millis(10));
+        let container = mesh.node_mut(a).unwrap();
+        assert!(
+            container
+                .take_peer_metrics(request)
+                .unwrap()
+                .distinct_names()
+                > 0
+        );
+        assert!(container.peer_metrics(b).is_some());
+        assert!(container.peer_metrics(forger).is_none());
     }
 }

@@ -124,11 +124,11 @@ pub static FEDERATION_BATCH_RTT_MILLIS: MetricDesc = MetricDesc::histogram(
     "milliseconds",
 );
 
-/// Lossy-link recovery retransmissions (re-sent `QueryRequest`/`QueryNext`/
-/// `MetricsRequest` messages).
+/// Lossy-link recovery retransmissions: request frames the exchange engine re-sent
+/// (remote queries, metrics scrapes, trace collects and partial-aggregate scatters).
 pub static FEDERATION_RETRANSMITS_TOTAL: MetricDesc = MetricDesc::counter(
     "gsn_federation_retransmits_total",
-    "Requests re-sent by the lossy-link recovery timers",
+    "Request frames re-sent by the exchange engine after apparent loss",
     "messages",
 );
 
@@ -179,13 +179,6 @@ pub static FEDERATION_SCATTER_LATENCY_MILLIS: MetricDesc = MetricDesc::histogram
     "gsn_federation_scatter_latency_millis",
     "Latency of one federated query from scatter fan-out to merged result",
     "milliseconds",
-);
-
-/// Remote-cursor batches consumed without an explicit per-batch request.
-pub static FEDERATION_PREFETCH_HITS_TOTAL: MetricDesc = MetricDesc::counter(
-    "gsn_federation_prefetch_hits_total",
-    "Remote-cursor batches consumed without a per-batch QueryNext (prefetch pipelining)",
-    "batches",
 );
 
 /// Remote spans received by trace-collect assembly (answers to
@@ -254,8 +247,6 @@ pub struct ContainerTelemetry {
     pub scatter_fallback_total: Counter,
     /// Federated query latency (scatter to merge).
     pub scatter_latency_millis: Histogram,
-    /// Batches consumed without a per-batch request (prefetch pipelining).
-    pub prefetch_hits_total: Counter,
     /// Remote spans received by trace-collect assembly.
     pub remote_spans_total: Counter,
 }
@@ -298,7 +289,6 @@ impl ContainerTelemetry {
             &FEDERATION_SCATTER_LATENCY_MILLIS,
             &self.scatter_latency_millis,
         );
-        registry.register_counter(&FEDERATION_PREFETCH_HITS_TOTAL, &self.prefetch_hits_total);
         registry.register_counter(&TRACE_REMOTE_SPANS_TOTAL, &self.remote_spans_total);
     }
 

@@ -31,12 +31,10 @@ pub type RequestId = u64;
 /// One message exchanged between GSN containers.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
-    /// Subscribe to a remote virtual sensor's output stream.
+    /// Subscribe the sending node to a remote virtual sensor's output stream.
     Subscribe {
         /// Correlation id.
         request: RequestId,
-        /// The subscribing node.
-        subscriber: NodeId,
         /// The remote virtual sensor name.
         sensor: String,
     },
@@ -49,10 +47,8 @@ pub enum Message {
         /// Reason when refused.
         reason: String,
     },
-    /// Cancel a subscription.
+    /// Cancel the sending node's subscription.
     Unsubscribe {
-        /// The subscribing node.
-        subscriber: NodeId,
         /// The remote virtual sensor name.
         sensor: String,
     },
@@ -85,11 +81,6 @@ pub enum Message {
         sql: String,
         /// How many rows the server should ship per batch.
         batch_rows: u32,
-        /// When true the server pipelines: it speculatively pushes a window of batches
-        /// ahead of the client's acknowledgements ([`Message::QueryNext`] becomes a
-        /// cumulative ack), hiding one link RTT per batch.  When false the wire stays
-        /// strictly pull-based (one batch per `QueryNext`).
-        prefetch: bool,
         /// The distributed trace this query belongs to, if any.
         trace: Option<TraceContext>,
     },
@@ -132,19 +123,16 @@ pub enum Message {
         server_micros: u64,
     },
     /// Ask a peer for its current metrics snapshot (the federation scrape:
-    /// EMMA-style cooperating nodes report health to each other).
+    /// EMMA-style cooperating nodes report health to each other).  The snapshot goes
+    /// back to the sender.
     MetricsRequest {
         /// Correlation id.
         request: RequestId,
-        /// The scraping node (where the snapshot should be sent back).
-        from: NodeId,
     },
-    /// A peer's typed metrics snapshot, answering [`Message::MetricsRequest`].
+    /// The sender's typed metrics snapshot, answering [`Message::MetricsRequest`].
     MetricsSnapshot {
         /// Correlation id of the request.
         request: RequestId,
-        /// The scraped node.
-        node: NodeId,
         /// The full registry snapshot at scrape time.
         snapshot: MetricsSnapshot,
     },
@@ -152,8 +140,6 @@ pub enum Message {
     /// (per-origin max version).  The receiver answers with a [`Message::GossipDelta`]
     /// carrying every record the digest proves the sender has not seen.
     GossipDigest {
-        /// The gossiping node (replies go here).
-        from: NodeId,
         /// `(origin, max version)` pairs — one per origin the sender knows about.
         digest: Vec<(NodeId, u64)>,
         /// Per-node health summaries piggybacked on the round.
@@ -166,8 +152,6 @@ pub enum Message {
     /// `digest` is non-empty the sender also wants the records *it* is missing (push–pull);
     /// an empty digest terminates the exchange.
     GossipDelta {
-        /// The sending node.
-        from: NodeId,
         /// Records the receiver has not seen (by the digest it sent).
         records: Vec<ReplicaRecord>,
         /// The sender's own digest when it wants a return delta; empty to end the round.
@@ -180,8 +164,6 @@ pub enum Message {
     /// Placement-ring membership broadcast.  Receivers rebuild the ring deterministically
     /// from the member list; a strictly higher epoch replaces the local view.
     RingAnnounce {
-        /// The announcing node.
-        from: NodeId,
         /// Monotonic membership epoch (bumped by the node initiating a join/leave).
         epoch: u64,
         /// The full member list at this epoch.
@@ -213,24 +195,19 @@ pub enum Message {
     },
     /// Ask a peer for every retained span of one distributed trace — the
     /// client-side assembly step of cross-container tracing, issued next to
-    /// [`Message::MetricsRequest`] once a federated query completes.
+    /// [`Message::MetricsRequest`] once a federated query completes.  The spans go
+    /// back to the sender.
     TraceCollectRequest {
         /// Correlation id.
         request: RequestId,
-        /// The collecting node (where the spans should be sent back).
-        from: NodeId,
         /// The trace whose spans are wanted.
         trace_id: u128,
     },
-    /// A peer's retained spans of one trace, answering
+    /// The sender's retained spans of one trace, answering
     /// [`Message::TraceCollectRequest`].
     TraceCollectReply {
         /// Correlation id of the request.
         request: RequestId,
-        /// The answering node.
-        node: NodeId,
-        /// The trace the spans belong to.
-        trace_id: u128,
         /// Every retained span of the trace on the answering node.
         spans: Vec<RemoteSpan>,
     },
@@ -548,24 +525,24 @@ macro_rules! wire_messages {
 // reuse them: a frame carrying one must decode as an unknown tag, not as some other
 // message.
 wire_messages! {
-    5 "subscribe" Subscribe { request, subscriber, sensor }
+    5 "subscribe" Subscribe { request, sensor }
     6 "subscribe-ack" SubscribeAck { request, accepted, reason }
-    7 "unsubscribe" Unsubscribe { subscriber, sensor }
+    7 "unsubscribe" Unsubscribe { sensor }
     8 "stream-delivery" StreamDelivery { sensor, element }
     9 "ping" Ping { request }
     10 "pong" Pong { request }
-    11 "query-request" QueryRequest { request, sql, batch_rows, prefetch, trace }
+    11 "query-request" QueryRequest { request, sql, batch_rows, trace }
     12 "query-next" QueryNext { request, cursor, batch_rows, expect_seq, trace }
     13 "query-batch" QueryBatch { request, cursor, seq, columns, rows, done, error, server_micros }
-    14 "metrics-request" MetricsRequest { request, from }
-    15 "metrics-snapshot" MetricsSnapshot { request, node, snapshot }
-    16 "gossip-digest" GossipDigest { from, digest, health, trace }
-    17 "gossip-delta" GossipDelta { from, records, digest, health, trace }
-    18 "ring-announce" RingAnnounce { from, epoch, members }
+    14 "metrics-request" MetricsRequest { request }
+    15 "metrics-snapshot" MetricsSnapshot { request, snapshot }
+    16 "gossip-digest" GossipDigest { digest, health, trace }
+    17 "gossip-delta" GossipDelta { records, digest, health, trace }
+    18 "ring-announce" RingAnnounce { epoch, members }
     19 "partial-aggregate-request" PartialAggregateRequest { request, sql, trace }
     20 "partial-aggregate-reply" PartialAggregateReply { request, columns, rows, error, server_micros }
-    21 "trace-collect-request" TraceCollectRequest { request, from, trace_id }
-    22 "trace-collect-reply" TraceCollectReply { request, node, trace_id, spans }
+    21 "trace-collect-request" TraceCollectRequest { request, trace_id }
+    22 "trace-collect-reply" TraceCollectReply { request, spans }
 }
 
 #[cfg(test)]
@@ -612,7 +589,6 @@ mod tests {
     fn all_message_kinds_round_trip() {
         roundtrip(Message::Subscribe {
             request: 5,
-            subscriber: NodeId::new(9),
             sensor: "cam".into(),
         });
         roundtrip(Message::SubscribeAck {
@@ -621,7 +597,6 @@ mod tests {
             reason: "access denied".into(),
         });
         roundtrip(Message::Unsubscribe {
-            subscriber: NodeId::new(9),
             sensor: "cam".into(),
         });
         roundtrip(Message::Ping { request: 1 });
@@ -630,14 +605,12 @@ mod tests {
             request: 42,
             sql: "select * from motes limit 10".into(),
             batch_rows: 128,
-            prefetch: false,
             trace: None,
         });
         roundtrip(Message::QueryRequest {
             request: 44,
             sql: "select * from motes".into(),
             batch_rows: 64,
-            prefetch: true,
             trace: Some(TraceContext {
                 trace_id: (7u128 << 64) | 44,
                 parent_span: SpanId(0x0007_0000_0000_0001),
@@ -687,13 +660,9 @@ mod tests {
             sensor: "motes".into(),
             element: WireElement::from_element(&sample_element()),
         });
-        roundtrip(Message::MetricsRequest {
-            request: 9,
-            from: NodeId::new(4),
-        });
+        roundtrip(Message::MetricsRequest { request: 9 });
         roundtrip(Message::MetricsSnapshot {
             request: 9,
-            node: NodeId::new(2),
             snapshot: MetricsSnapshot {
                 metrics: vec![
                     MetricSample {
@@ -732,17 +701,14 @@ mod tests {
         });
         roundtrip(Message::MetricsSnapshot {
             request: 10,
-            node: NodeId::new(3),
             snapshot: MetricsSnapshot::default(),
         });
         roundtrip(Message::GossipDigest {
-            from: NodeId::new(5),
             digest: vec![(NodeId::new(1), 17), (NodeId::new(2), 0)],
             health: Vec::new(),
             trace: None,
         });
         roundtrip(Message::GossipDigest {
-            from: NodeId::new(6),
             digest: vec![(NodeId::new(6), 3)],
             health: Vec::new(),
             trace: Some(TraceContext {
@@ -751,7 +717,6 @@ mod tests {
             }),
         });
         roundtrip(Message::GossipDigest {
-            from: NodeId::new(5),
             digest: Vec::new(),
             health: vec![HealthSummary {
                 node: 5,
@@ -772,7 +737,6 @@ mod tests {
             trace: None,
         });
         roundtrip(Message::GossipDelta {
-            from: NodeId::new(2),
             records: vec![
                 ReplicaRecord {
                     node: NodeId::new(2),
@@ -796,7 +760,6 @@ mod tests {
             trace: None,
         });
         roundtrip(Message::GossipDelta {
-            from: NodeId::new(2),
             records: Vec::new(),
             digest: Vec::new(),
             health: vec![
@@ -817,7 +780,6 @@ mod tests {
             }),
         });
         roundtrip(Message::RingAnnounce {
-            from: NodeId::new(1),
             epoch: 4,
             members: vec![NodeId::new(1), NodeId::new(2), NodeId::new(7)],
         });
@@ -850,13 +812,10 @@ mod tests {
         });
         roundtrip(Message::TraceCollectRequest {
             request: 90,
-            from: NodeId::new(1),
             trace_id: (1u128 << 64) | 42,
         });
         roundtrip(Message::TraceCollectReply {
             request: 90,
-            node: NodeId::new(4),
-            trace_id: (1u128 << 64) | 42,
             spans: vec![
                 RemoteSpan {
                     node: 4,
@@ -882,8 +841,6 @@ mod tests {
         });
         roundtrip(Message::TraceCollectReply {
             request: 91,
-            node: NodeId::new(5),
-            trace_id: 7,
             spans: Vec::new(),
         });
     }
@@ -923,10 +880,7 @@ mod tests {
         bytes.push(0);
         malformed(&bytes);
         // Corrupted string length.
-        let unsubscribe = encode(&Message::Unsubscribe {
-            subscriber: NodeId::new(1),
-            sensor: "x".into(),
-        });
+        let unsubscribe = encode(&Message::Unsubscribe { sensor: "x".into() });
         let mut bytes = unsubscribe.clone();
         let len = bytes.len();
         bytes[len - 3] = 0xFF; // inflate the sensor-name length prefix
@@ -957,7 +911,6 @@ mod tests {
         // An unknown metric-sample tag.
         let mut bytes = encode(&Message::MetricsSnapshot {
             request: 1,
-            node: NodeId::new(2),
             snapshot: MetricsSnapshot {
                 metrics: vec![MetricSample {
                     name: String::new(),

@@ -1,7 +1,7 @@
 //! The [`StorageBackend`] trait behind [`crate::StreamTable`], and the persistent page
 //! engine that implements it.
 //!
-//! The paper's storage layer "provid[es] and manag[es] persistent storage for data
+//! The paper's storage layer "provid\[es\] and manag\[es\] persistent storage for data
 //! streams" (Section 4) — the original GSN delegated this to MySQL tables.  GSN-RS has
 //! exactly two backends:
 //!

@@ -2,7 +2,7 @@
 //!
 //! A persistent table used to be one ever-growing `.tbl` file; it is now a
 //! [`crate::segment::SegmentedHeap`] — an ordered sequence of `HeapFile` segments, each a
-//! [`PAGE_SIZE`](crate::page::PAGE_SIZE)-byte header region followed by up to a fixed
+//! [`PAGE_SIZE`]-byte header region followed by up to a fixed
 //! number of data pages.  The header carries the table schema plus the segment's place in
 //! the table: `first_row` (the global index of the first row stored here, which also
 //! pins the exact sequence→row mapping, since sequences are contiguous from 1),

@@ -80,7 +80,6 @@ fn message_of(kind: u32, values: Vec<Value>, text: String, n: u64, set: bool) ->
     match kind % 18 {
         0 => Message::Subscribe {
             request: n,
-            subscriber: node,
             sensor: text,
         },
         1 => Message::SubscribeAck {
@@ -88,10 +87,7 @@ fn message_of(kind: u32, values: Vec<Value>, text: String, n: u64, set: bool) ->
             accepted: set,
             reason: text,
         },
-        2 => Message::Unsubscribe {
-            subscriber: node,
-            sensor: text,
-        },
+        2 => Message::Unsubscribe { sensor: text },
         3 => Message::StreamDelivery {
             sensor: text,
             element: WireElement::from_element(&row_of(values, n as i64, set.then_some(7))),
@@ -102,7 +98,6 @@ fn message_of(kind: u32, values: Vec<Value>, text: String, n: u64, set: bool) ->
             request: n,
             sql: text,
             batch_rows: n as u32,
-            prefetch: set,
             trace,
         },
         7 => Message::QueryNext {
@@ -122,13 +117,9 @@ fn message_of(kind: u32, values: Vec<Value>, text: String, n: u64, set: bool) ->
             error: text,
             server_micros,
         },
-        9 => Message::MetricsRequest {
-            request: n,
-            from: node,
-        },
+        9 => Message::MetricsRequest { request: n },
         10 => Message::MetricsSnapshot {
             request: n,
-            node,
             snapshot: MetricsSnapshot {
                 metrics: vec![MetricSample {
                     name: text.clone(),
@@ -145,13 +136,11 @@ fn message_of(kind: u32, values: Vec<Value>, text: String, n: u64, set: bool) ->
             },
         },
         11 => Message::GossipDigest {
-            from: node,
             digest: vec![(node, n)],
             health,
             trace,
         },
         12 => Message::GossipDelta {
-            from: node,
             records: vec![ReplicaRecord {
                 node,
                 sensor: text.clone(),
@@ -165,7 +154,6 @@ fn message_of(kind: u32, values: Vec<Value>, text: String, n: u64, set: bool) ->
             trace,
         },
         13 => Message::RingAnnounce {
-            from: node,
             epoch: n,
             members: vec![node, NodeId::new(n / 2)],
         },
@@ -183,13 +171,10 @@ fn message_of(kind: u32, values: Vec<Value>, text: String, n: u64, set: bool) ->
         },
         16 => Message::TraceCollectRequest {
             request: n,
-            from: node,
             trace_id: u128::from(n),
         },
         _ => Message::TraceCollectReply {
             request: n,
-            node,
-            trace_id: u128::from(n),
             spans: vec![RemoteSpan {
                 node: n,
                 trace_id: u128::from(n),
