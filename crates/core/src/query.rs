@@ -310,10 +310,9 @@ fn advance_incremental(
             IncrementalSlot::Unsupported => return Ok(None),
             IncrementalSlot::Untried => {
                 let guard = table.read();
-                let base = Relation::for_stream_schema(table_name, guard.schema());
+                let columns = Relation::stream_columns(table_name, guard.schema());
                 let stride = query.sampling_rate.and_then(sampling_stride);
-                let Some(plan) =
-                    ContinuousPlan::compile(query.prepared.plan(), base.columns(), stride)
+                let Some(plan) = ContinuousPlan::compile(query.prepared.plan(), &columns, stride)
                 else {
                     drop(guard);
                     query.incremental = IncrementalSlot::Unsupported;
@@ -327,20 +326,17 @@ fn advance_incremental(
                 // short window over a long durable history reads O(window) pages, not
                 // O(history).  The bound is a page-granular superset — `evaluate`'s
                 // `WindowBound::Since` pruning pops any too-old leading rows.
-                let mut scan = match query.history {
+                let seed = match query.history {
                     WindowSpec::Time(d) => {
                         let bounds = ScanBounds {
                             min_ts: Some(now.saturating_sub(d).as_millis()),
                             ..ScanBounds::default()
                         };
-                        guard.open_scan_bounded(WindowSpec::Count(usize::MAX), now, &bounds)?
+                        guard.scan(WindowSpec::Count(usize::MAX), now, &bounds)?
                     }
-                    _ => guard.open_scan(query.history, now)?,
+                    window => guard.scan(window, now, &ScanBounds::default())?,
                 };
-                let mut delta = Vec::new();
-                while let Some(batch) = guard.scan_next(&mut scan)? {
-                    delta.extend(batch.iter().map(element_row));
-                }
+                let delta: Vec<_> = seed.into_iter().map(element_row).collect();
                 let oldest = guard.first_live_sequence()?;
                 drop(guard);
                 let mut state = ContinuousState {
@@ -373,11 +369,15 @@ fn advance_incremental(
                     query.incremental = IncrementalSlot::Untried;
                     continue;
                 }
-                let mut scan = guard.open_delta_scan(state.last_seq)?;
-                let mut delta = Vec::new();
-                while let Some(batch) = guard.scan_next(&mut scan)? {
-                    delta.extend(batch.iter().map(element_row));
-                }
+                let after = ScanBounds {
+                    min_seq: Some(state.last_seq + 1),
+                    ..ScanBounds::default()
+                };
+                let delta: Vec<_> = guard
+                    .scan(WindowSpec::Count(usize::MAX), now, &after)?
+                    .into_iter()
+                    .map(element_row)
+                    .collect();
                 let oldest = guard.first_live_sequence()?;
                 drop(guard);
                 let relation =
@@ -394,12 +394,9 @@ fn advance_incremental(
 
 /// Flattens a stream element into the delta-row form the incremental executor consumes
 /// (`[PK, TIMED, fields...]`, the scan layout).
-fn element_row(element: &StreamElement) -> (u64, Timestamp, Vec<gsn_types::Value>) {
-    let mut row = Vec::with_capacity(element.values().len() + 2);
-    row.push(gsn_types::Value::Integer(element.sequence() as i64));
-    row.push(gsn_types::Value::Timestamp(element.timestamp()));
-    row.extend_from_slice(element.values());
-    (element.sequence(), element.timestamp(), row)
+fn element_row(element: StreamElement) -> (u64, Timestamp, Vec<gsn_types::Value>) {
+    let (sequence, timestamp) = (element.sequence(), element.timestamp());
+    (sequence, timestamp, Relation::stream_row(element))
 }
 
 /// Maps a query's history window to the incremental executor's bound at `now`.

@@ -7,7 +7,8 @@
 //! element triggers the five processing steps of Section 3:
 //!
 //! 1. timestamp the element (ISM),
-//! 2. evaluate the windows of every source of the triggering input stream,
+//! 2. evaluate the windows of every source of the triggering input stream (each source
+//!    query reads its window live, through the `wrapper` view built at deploy),
 //! 3. run the per-source queries into temporary relations,
 //! 4. run the output query over the temporary relations,
 //! 5. persist and hand the new output element to the container for notification.
@@ -15,8 +16,8 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use gsn_sql::{MemoryCatalog, PreparedQuery, Relation, SqlEngine};
-use gsn_storage::{CatalogView, Retention, StorageManager};
+use gsn_sql::{MemoryCatalog, PreparedQuery, SqlEngine};
+use gsn_storage::{CatalogView, LiveCatalog, Retention, StorageManager};
 use gsn_types::{
     GsnError, GsnResult, NodeId, StreamElement, StreamSchema, Timestamp, VirtualSensorName,
 };
@@ -68,6 +69,9 @@ pub struct SourceRuntime {
     pub monitor: SourceMonitor,
     /// The prepared per-source query (over `WRAPPER`).
     source_query: PreparedQuery,
+    /// The `wrapper` view the source query reads: this source's table through its
+    /// window and sampling rate.
+    wrapper: CatalogView,
 }
 
 /// Runtime state of one input stream.
@@ -222,12 +226,15 @@ impl VirtualSensor {
                     };
                     let table_name = Self::source_table_name(&descriptor.name, &source_spec.alias);
                     storage.create_table(&table_name, schema, source_spec.window.retention())?;
+                    let wrapper = CatalogView::new("wrapper", &table_name, source_spec.window)
+                        .with_sampling(source_spec.sampling_rate);
                     sources.push(SourceRuntime {
                         spec: source_spec.clone(),
                         kind,
                         table_name,
                         monitor: SourceMonitor::new(QualityPolicy::default()),
                         source_query,
+                        wrapper,
                     });
                 }
                 streams.push(InputStreamRuntime {
@@ -481,19 +488,12 @@ impl VirtualSensor {
         }
         self.stats.triggers += 1;
 
-        // Steps 2–3: per-source window evaluation + source queries into temporary relations.
+        // Steps 2–3: each source query reads its window live through its `wrapper` view
+        // and leaves a temporary relation.
         let mut temp_catalog = MemoryCatalog::new();
         for src in &stream.sources {
-            let wrapper_catalog = storage.windowed_catalog(
-                &[
-                    CatalogView::new("wrapper", &src.table_name, src.spec.window)
-                        .with_sampling(src.spec.sampling_rate),
-                ],
-                now,
-            )?;
-            let temp: Relation = self
-                .engine
-                .execute_prepared(&src.source_query, &wrapper_catalog)?;
+            let window = LiveCatalog::new(storage, std::slice::from_ref(&src.wrapper), now);
+            let temp = self.engine.execute_prepared(&src.source_query, &window)?;
             temp_catalog.register(&src.spec.alias, temp);
         }
 
@@ -649,6 +649,47 @@ mod tests {
         }
         // Elements arriving without a timestamp were stamped by the ISM.
         assert_eq!(vs.source_quality()[0].2.locally_timestamped, 3);
+    }
+
+    /// Pins what a multi-row output query emits today: `to_stream_element` keeps row 0
+    /// only, so `select *` over a `Count(5)` window emits the window's *oldest* row on
+    /// every arrival (scan order is oldest first).
+    #[test]
+    fn multi_row_output_emits_the_oldest_window_row() {
+        let storage = StorageManager::new();
+        let descriptor = VirtualSensorDescriptor::builder("multi-row")
+            .unwrap()
+            .output_field("temperature", DataType::Integer)
+            .unwrap()
+            .input_stream(
+                InputStreamSpec::new("main", "select * from src1").with_source(
+                    StreamSourceSpec::new(
+                        "src1",
+                        AddressSpec::new("push")
+                            .with_predicate("channel", "multi-row-feed")
+                            .with_predicate("field-1", "temperature")
+                            .with_predicate("type-1", "integer"),
+                        "select * from wrapper",
+                    )
+                    .with_window(gsn_storage::WindowSpec::Count(5)),
+                ),
+            )
+            .build()
+            .unwrap();
+        let mut vs = deploy(descriptor, &storage);
+        let schema =
+            Arc::new(StreamSchema::from_pairs(&[("temperature", DataType::Integer)]).unwrap());
+        let mut emitted = Vec::new();
+        for temp in 1..=8i64 {
+            let e = StreamElement::new(schema.clone(), vec![Value::Integer(temp)], Timestamp(0))
+                .unwrap();
+            let out = vs
+                .process_arrival((0, 0), e, Timestamp(temp * 100), &storage)
+                .unwrap()
+                .expect("every arrival emits one element");
+            emitted.push(out.value("TEMPERATURE").unwrap().as_integer().unwrap());
+        }
+        assert_eq!(emitted, vec![1, 1, 1, 1, 1, 2, 3, 4]);
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub enum WindowBound {
     /// Keep the trailing `n` input rows.
     Count(usize),
     /// Keep input rows from the first one timestamped at or after the cutoff onwards
-    /// (partition-point semantics, matching `WindowSpec::select`).
+    /// (partition-point semantics, matching a storage time-window scan).
     Since(Timestamp),
 }
 
@@ -594,7 +594,7 @@ impl ContinuousPlan {
             }
         }
         // Slide the window.  The time bound pops leading rows below the cutoff — the
-        // same partition-point semantics `WindowSpec::select` applies to the stored
+        // same partition-point semantics a storage time-window scan applies to the stored
         // suffix, monotone as long as `now` does not go backwards (the repository
         // re-seeds the state when it does).
         match bound {

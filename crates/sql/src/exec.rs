@@ -9,9 +9,11 @@
 //! therefore stops pulling after `k` rows and upstream storage pages are never read.
 //!
 //! [`execute_plan`] and [`execute_query`] are thin `collect()` shims kept for callers
-//! that want a materialised [`Relation`].  In the GSN pipeline the catalog is the
-//! storage layer: the windowed stream tables of each source plus the temporary
-//! relations produced by the per-source queries.
+//! that want a materialised [`Relation`].  A [`Catalog`] has one method, `scan`, and
+//! every base table is read through it.  In the GSN pipeline the per-source queries
+//! scan the storage layer's live windows (each source's `wrapper` view, read by a
+//! storage cursor), and the output query scans the [`MemoryCatalog`] of temporary
+//! relations those queries produced.
 
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -34,30 +36,16 @@ use crate::relation::{ColumnInfo, Relation};
 /// (windowed views of the source's recent elements) and, in the output query, the
 /// temporary relations produced by the per-source input queries.
 ///
-/// The required method is [`scan`](Catalog::scan): a pull-based cursor over the table's
+/// [`scan`](Catalog::scan) is the one method: a pull-based cursor over the table's
 /// rows, oldest first.  Sources must own what they need (`'static`) so a cursor can
-/// outlive the catalog that opened it.  [`relation`](Catalog::relation) is a provided
-/// materialising convenience; implementations that already hold a vector may override
-/// it with a cheap clone.
+/// outlive the catalog that opened it.
 pub trait Catalog {
-    /// Opens a cursor over the rows of `name`, or an error when the name is unknown.
-    fn scan(&self, name: &str) -> GsnResult<Box<dyn RowSource>>;
-
-    /// Opens a cursor honouring the pushed-down `spec` where the backing store
-    /// can exploit it (range bounds seek, projection skips column decode, the
-    /// limit stops production early).  The default ignores the spec — that is
-    /// always correct, because the executor re-applies the full residual
-    /// predicate above the scan and every spec field is a superset-safe hint.
-    fn scan_with_spec(&self, name: &str, spec: &ScanSpec) -> GsnResult<Box<dyn RowSource>> {
-        let _ = spec;
-        self.scan(name)
-    }
-
-    /// Materialises the relation bound to `name` (collects [`scan`](Catalog::scan)).
-    fn relation(&self, name: &str) -> GsnResult<Relation> {
-        let mut source = self.scan(name)?;
-        source.collect()
-    }
+    /// Opens a cursor over the rows of `name`, or an error when the name is unknown,
+    /// honouring the pushed-down `spec` where the backing store can exploit it (range
+    /// bounds seek, projection skips column decode, the limit stops production
+    /// early).  Ignoring the spec is always correct: the executor re-applies the full
+    /// residual predicate above the scan and every spec field is a superset-safe hint.
+    fn scan(&self, name: &str, spec: &ScanSpec) -> GsnResult<Box<dyn RowSource>>;
 }
 
 /// A simple in-memory [`Catalog`] backed by a hash map; used in tests, by the query
@@ -90,15 +78,13 @@ impl MemoryCatalog {
 }
 
 impl Catalog for MemoryCatalog {
-    fn scan(&self, name: &str) -> GsnResult<Box<dyn RowSource>> {
-        Ok(Box::new(RelationSource::new(self.relation(name)?)))
-    }
-
-    fn relation(&self, name: &str) -> GsnResult<Relation> {
-        self.tables
+    fn scan(&self, name: &str, _spec: &ScanSpec) -> GsnResult<Box<dyn RowSource>> {
+        let relation = self
+            .tables
             .get(&name.to_ascii_lowercase())
             .cloned()
-            .ok_or_else(|| GsnError::not_found(format!("unknown table `{name}`")))
+            .ok_or_else(|| GsnError::not_found(format!("unknown table `{name}`")))?;
+        Ok(Box::new(RelationSource::new(relation)))
     }
 }
 
@@ -195,11 +181,7 @@ fn open_node(
 ) -> GsnResult<Box<dyn RowSource>> {
     Ok(match plan {
         LogicalPlan::Scan { table, alias, spec } => {
-            let inner = if spec.is_default() {
-                catalog.scan(table)?
-            } else {
-                catalog.scan_with_spec(table, spec)?
-            };
+            let inner = catalog.scan(table, spec)?;
             // Re-qualify every column with the alias used in this query so that
             // `alias.column` references resolve.
             let columns = inner
@@ -1704,11 +1686,11 @@ mod tests {
     fn memory_catalog_management() {
         let mut c = catalog();
         assert_eq!(c.names().len(), 2);
-        assert!(c.relation("MOTES").is_ok());
-        assert!(c.scan("MOTES").is_ok());
+        let spec = ScanSpec::default();
+        let scanned = c.scan("MOTES", &spec).unwrap().collect().unwrap();
+        assert_eq!(scanned.rows(), motes_relation().rows());
         assert!(c.deregister("motes").is_some());
-        assert!(c.relation("motes").is_err());
-        assert!(c.scan("motes").is_err());
+        assert!(c.scan("motes", &spec).is_err());
         assert!(c.deregister("motes").is_none());
     }
 

@@ -95,12 +95,10 @@ impl Relation {
         }
     }
 
-    /// An empty relation shaped for a stream's elements: the implicit `PK` and `TIMED`
-    /// columns followed by the schema fields.  Rows are added with
-    /// [`push_stream_element`](Self::push_stream_element) — this is the streaming entry
-    /// point the storage layer uses to materialise windows without first building a
-    /// vector of elements.
-    pub fn for_stream_schema(qualifier: &str, schema: &StreamSchema) -> Relation {
+    /// The columns of a stream's elements: the implicit `PK` and `TIMED` columns
+    /// followed by the schema fields, qualified by `qualifier`.
+    /// [`stream_row`](Self::stream_row) builds rows of this layout.
+    pub fn stream_columns(qualifier: &str, schema: &StreamSchema) -> Vec<ColumnInfo> {
         let mut columns = vec![
             ColumnInfo::new(Some(qualifier), StreamSchema::PK, Some(DataType::Integer)),
             ColumnInfo::new(
@@ -116,22 +114,17 @@ impl Relation {
                 Some(field.data_type),
             ));
         }
-        Relation {
-            columns,
-            rows: Vec::new(),
-        }
+        columns
     }
 
-    /// Appends one stream element as a row (`PK`, `TIMED`, then the field values).
-    /// The relation must have been created by [`for_stream_schema`](Self::for_stream_schema)
-    /// with a matching schema.
-    pub fn push_stream_element(&mut self, element: &StreamElement) {
-        let mut row = Vec::with_capacity(self.columns.len());
+    /// One stream element as a row of the [`stream_columns`](Self::stream_columns)
+    /// layout: `PK`, `TIMED`, then the field values (moved, not copied).
+    pub fn stream_row(element: StreamElement) -> Vec<Value> {
+        let mut row = Vec::with_capacity(element.values().len() + 2);
         row.push(Value::Integer(element.sequence() as i64));
         row.push(Value::Timestamp(element.timestamp()));
-        row.extend_from_slice(element.values());
-        debug_assert_eq!(row.len(), self.columns.len());
-        self.rows.push(row);
+        row.extend(element.into_values());
+        row
     }
 
     /// Builds a relation from stream elements, exposing the implicit `PK` and `TIMED`
@@ -142,12 +135,10 @@ impl Relation {
         schema: &StreamSchema,
         elements: &[StreamElement],
     ) -> Relation {
-        let mut relation = Relation::for_stream_schema(qualifier, schema);
-        relation.rows.reserve(elements.len());
-        for element in elements {
-            relation.push_stream_element(element);
+        Relation {
+            columns: Relation::stream_columns(qualifier, schema),
+            rows: elements.iter().cloned().map(Relation::stream_row).collect(),
         }
-        relation
     }
 
     /// The column metadata.

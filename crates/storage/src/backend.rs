@@ -6,14 +6,24 @@
 //! exactly two backends:
 //!
 //! * [`crate::ResidentBackend`] (in [`crate::spill`]) — elements in a `Vec`, exact
-//!   retention, zero-copy window evaluation; optionally spilling its cold prefix into a
-//!   log-less [`PersistentBackend`] cache store.  Every memory table uses it.
+//!   retention, cursors that copy only the rows they pull; optionally spilling its cold
+//!   prefix into a log-less [`PersistentBackend`] cache store.  Every memory table uses
+//!   it.
 //! * [`PersistentBackend`] — a segmented heap of slotted pages behind a bounded
 //!   [`SharedBufferPool`], with its rows logged under a tag of the container's
 //!   [`WalSet`] until they reach a page on disk.  Tables can grow far beyond RAM;
 //!   windowed scans stream through the pool.  Under a [`crate::StorageManager`] every
 //!   durable table shares one container-wide pool (global page budget, cross-table
 //!   eviction).
+//!
+//! ### One read path
+//!
+//! Every read — a pipeline window, a client query, an incremental delta, recovery's
+//! last-row lookup, compaction's rewrite — is a cursor: [`StorageBackend::open_scan`]
+//! takes the window, the evaluation time and pushed-down [`ScanBounds`], and
+//! [`StorageBackend::scan_next`] pulls one batch at a time (one buffer-pool page for
+//! the persistent engine).  Every row the persistent engine hands out is decoded by its
+//! row scan; only recovery's index rebuild parses pages on its own.
 //!
 //! ### Persistent write path
 //!
@@ -213,6 +223,20 @@ impl ScanState {
     pub(crate) fn sequence_range(next_seq: u64, end_seq: u64) -> ScanState {
         ScanState(ScanStateInner::Sequence { next_seq, end_seq })
     }
+
+    /// A page scan over the global rows `[next_row, end_row)` (sequence `s` ⇔ row
+    /// `s − 1`), clamped to the live range per batch: the persistent store's own reads
+    /// and the resident store's cold continuation, neither of which is a bounded open.
+    pub(crate) fn rows(next_row: u64, end_row: u64) -> ScanState {
+        ScanState(ScanStateInner::Rows {
+            next_row,
+            end_row,
+            cutoff: None,
+            passed: false,
+            min_ts: None,
+            max_ts: None,
+        })
+    }
 }
 
 /// The storage engine behind one stream table.
@@ -244,42 +268,21 @@ pub trait StorageBackend: Send + Sync + fmt::Debug {
     /// table so numbering continues across restarts.
     fn max_sequence(&self) -> u64;
 
-    /// Streams the elements selected by `window` at `now`, oldest first, through
-    /// `visit`. Persistent backends read through the buffer pool; resident elements
-    /// stay zero-copy.
-    fn scan_window(
-        &self,
-        window: WindowSpec,
-        now: Timestamp,
-        visit: &mut dyn FnMut(&StreamElement),
-    ) -> GsnResult<()>;
-
     /// Begins a pull-based scan of the elements selected by `window` at `now`, oldest
-    /// first.  The returned state is advanced with [`scan_next`](Self::scan_next);
-    /// a consumer that stops pulling reads no further storage.
-    fn open_scan(&self, window: WindowSpec, now: Timestamp) -> GsnResult<ScanState>;
-
-    /// Like [`open_scan`](Self::open_scan), additionally seeded with pushed-down
-    /// [`ScanBounds`]: the backend seeks its page index to the first qualifying
-    /// row and skips pages the bounds rule out.  Bounds are superset-safe hints
-    /// (see [`ScanBounds`]); the default implementation ignores them, which is
-    /// always correct.
-    fn open_scan_bounded(
+    /// first, narrowed by pushed-down [`ScanBounds`] (superset-safe hints: the backend
+    /// seeks past rows they rule out, the consumer re-filters row-wise).  This is the
+    /// only way to read a table.  A window read passes `ScanBounds::default()`; a
+    /// *delta* read — every live element after sequence `s`, the resume point of
+    /// incremental continuous-query evaluation — is `Count(usize::MAX)` with
+    /// `min_seq = s + 1`.  The returned state is advanced with
+    /// [`scan_next`](Self::scan_next); a consumer that stops pulling reads no further
+    /// storage.
+    fn open_scan(
         &self,
         window: WindowSpec,
         now: Timestamp,
         bounds: &ScanBounds,
-    ) -> GsnResult<ScanState> {
-        let _ = bounds;
-        self.open_scan(window, now)
-    }
-
-    /// Begins a *delta* scan: every live element whose sequence number is strictly
-    /// greater than `after`, oldest first.  This is the resume point of incremental
-    /// continuous-query evaluation — a registered query remembers the last sequence it
-    /// processed and re-enters here, so only new rows are read per stream element
-    /// instead of the full history window.
-    fn open_scan_after(&self, after: u64) -> GsnResult<ScanState>;
+    ) -> GsnResult<ScanState>;
 
     /// Sequence number of the oldest live (unpruned) element, `None` when empty.
     /// Incremental evaluation retracts resident rows older than this, so a query's
@@ -791,17 +794,13 @@ impl Inner {
         // spill-over) — the only page I/O a fully sidecar-indexed recovery
         // performs.
         if used_sidecar && self.total_rows > 0 {
-            let target = self.total_rows - 1;
-            let from_pos = self.index.partition_point(|e| e.info.end_row() <= target);
             // Bypass the prune watermark: `last` tracks the newest row ever
             // appended, and the final row may sit below `logical_start`.
             let saved_start = self.logical_start;
             self.logical_start = 0;
-            let mut last: Option<StreamElement> = None;
-            let scanned = self.scan_payloads(from_pos, u64::MAX, &mut |e| last = Some(e.clone()));
+            let scanned = self.read_rows(self.total_rows - 1, self.total_rows);
             self.logical_start = saved_start;
-            scanned?;
-            if let Some(element) = last {
+            if let Some(element) = scanned?.pop() {
                 self.note_element(&element);
             }
         }
@@ -922,100 +921,42 @@ impl Inner {
         Ok(self.index.len() - 1)
     }
 
-    /// Streams live rows from index position `from_pos` onward through `visit`, oldest
-    /// first.  Stops early once `limit` rows have been visited.
-    ///
-    /// Pages stream through the buffer pool one at a time: resident memory is the pool
-    /// budget plus one page worth of decoded rows (or one oversized chained row).
-    fn scan_payloads(
-        &mut self,
-        from_pos: usize,
-        limit: u64,
-        visit: &mut dyn FnMut(&StreamElement),
-    ) -> GsnResult<()> {
-        if from_pos >= self.index.len() || limit == 0 {
-            return Ok(());
+    /// Reads the live rows among global rows `[next_row, end_row)` by draining a row
+    /// scan — one page (plus chain spill-over) per pull through the buffer pool.
+    fn read_rows(&mut self, next_row: u64, end_row: u64) -> GsnResult<Vec<StreamElement>> {
+        let mut state = ScanState::rows(next_row, end_row);
+        let mut rows = Vec::new();
+        while let Some(batch) = self.scan_next(&mut state)? {
+            rows.extend(batch);
         }
-        let mut row_index = self.index[from_pos].info.first_row;
-        let logical_start = self.logical_start;
-        let schema = Arc::clone(&self.schema);
-        let mut visited = 0u64;
-        let mut chain: Vec<u8> = Vec::new();
-        let mut chain_open = false;
-        for pos in from_pos..self.index.len() {
-            let pid = self.index[pos].pid;
-            // Decode under the pool borrow into a per-page batch, then emit.
-            let mut emit: Vec<StreamElement> = Vec::new();
-            self.pool.with_page(self.table_id, pid, |page| {
-                for record in page.records() {
-                    let (tag, payload) = split_chunk(record)?;
-                    match tag {
-                        CHUNK_FULL => {
-                            if row_index >= logical_start {
-                                emit.push(decode_payload(payload, &schema)?);
-                            }
-                            row_index += 1;
-                        }
-                        CHUNK_START => {
-                            chain.clear();
-                            chain.extend_from_slice(payload);
-                            chain_open = true;
-                        }
-                        CHUNK_MID if chain_open => chain.extend_from_slice(payload),
-                        CHUNK_END if chain_open => {
-                            chain.extend_from_slice(payload);
-                            if row_index >= logical_start {
-                                emit.push(decode_payload(&chain, &schema)?);
-                            }
-                            row_index += 1;
-                            chain_open = false;
-                        }
-                        CHUNK_MID | CHUNK_END => {}
-                        other => {
-                            return Err(GsnError::storage(format!(
-                                "corrupt chunk tag {other} in page {pid}"
-                            )))
-                        }
-                    }
-                }
-                Ok(())
-            })??;
-            for element in &emit {
-                visit(element);
-                visited += 1;
-                if visited >= limit {
-                    return Ok(());
-                }
-            }
-        }
-        Ok(())
+        Ok(rows)
     }
 
-    /// Computes the starting row of a pull-based window scan.
+    /// Opens a pull-based window scan, seeded with pushed-down bounds.
     ///
     /// Count windows resolve to an *exact* start row through the page index (per-page
     /// `first_row` prefix sums), so a `Count(n)` cursor touches only the pages that
-    /// actually hold the trailing `n` rows.
-    fn open_scan_state(&self, window: WindowSpec, now: Timestamp) -> ScanState {
+    /// actually hold the trailing `n` rows.  The sequence bounds then clamp the row
+    /// range exactly (sequence `s` ⇔ global row `s − 1`), the timestamp bounds arm
+    /// page-granular skipping, and a limit hint trims the snapshot bound when nothing
+    /// downstream can drop rows.  Each bounded open counts one index seek.
+    ///
+    /// Time windows (partition-point semantics) take no bounds: a mid-scan skip could
+    /// swallow the partition point and change which out-of-order rows the window
+    /// admits.  Such scans simply run unbounded.
+    fn open_scan_state(
+        &self,
+        window: WindowSpec,
+        now: Timestamp,
+        bounds: &ScanBounds,
+    ) -> ScanState {
         let live = self.live_rows();
         if live == 0 {
             return ScanState::empty();
         }
-        let (next_row, cutoff) = match window {
-            WindowSpec::Count(n) if (n as u64) >= live => (self.logical_start, None),
-            WindowSpec::Count(_) | WindowSpec::LatestOnly => {
-                let n = match window {
-                    WindowSpec::LatestOnly => 1u64,
-                    WindowSpec::Count(n) => n as u64,
-                    WindowSpec::Time(_) => unreachable!(),
-                };
-                // Count(0) is rejected by descriptor parsing but reachable through the
-                // public API; it selects nothing.
-                if n == 0 {
-                    return ScanState::empty();
-                }
-                (self.total_rows - n, None)
-            }
+        let n = match window {
+            WindowSpec::Count(n) => n as u64,
+            WindowSpec::LatestOnly => 1,
             WindowSpec::Time(d) => {
                 let cutoff = now.saturating_sub(d);
                 // Page-level skip: pages whose newest timestamp predates the cutoff
@@ -1030,86 +971,63 @@ impl Inner {
                 if pos >= self.index.len() {
                     return ScanState::empty();
                 }
-                (
-                    self.index[pos].info.first_row.max(self.logical_start),
-                    Some(cutoff),
-                )
+                return ScanState(ScanStateInner::Rows {
+                    next_row: self.index[pos].info.first_row.max(self.logical_start),
+                    end_row: self.total_rows,
+                    cutoff: Some(cutoff),
+                    passed: false,
+                    min_ts: None,
+                    max_ts: None,
+                });
             }
         };
-        ScanState(ScanStateInner::Rows {
-            next_row,
-            end_row: self.total_rows,
-            cutoff,
-            passed: false,
-            min_ts: None,
-            max_ts: None,
-        })
-    }
-
-    /// [`open_scan_state`](Self::open_scan_state) with pushed-down bounds: the
-    /// sequence bounds clamp the row range exactly (sequence `s` ⇔ global row
-    /// `s − 1`), the timestamp bounds arm page-granular skipping, and a limit
-    /// hint trims the snapshot bound when nothing downstream can drop rows.
-    ///
-    /// Time windows (partition-point semantics) take no bounds: a mid-scan skip
-    /// could swallow the partition point and change which out-of-order rows the
-    /// window admits.  Such scans simply fall back to the unbounded state.
-    fn open_scan_state_bounded(
-        &self,
-        window: WindowSpec,
-        now: Timestamp,
-        bounds: &ScanBounds,
-    ) -> ScanState {
-        let mut state = self.open_scan_state(window, now);
-        if bounds.is_unbounded() {
-            return state;
+        // Count(0) is rejected by descriptor parsing but reachable through the public
+        // API; it selects nothing.
+        if n == 0 {
+            return ScanState::empty();
         }
-        if let ScanStateInner::Rows {
-            next_row,
-            end_row,
-            cutoff: None,
-            min_ts,
-            max_ts,
-            ..
-        } = &mut state.0
-        {
+        let mut next_row = self.total_rows - n.min(live);
+        let mut end_row = self.total_rows;
+        if !bounds.is_unbounded() {
             if let Some(min_seq) = bounds.min_seq {
-                *next_row = (*next_row).max(min_seq.saturating_sub(1));
+                next_row = next_row.max(min_seq.saturating_sub(1));
             }
             if let Some(max_seq) = bounds.max_seq {
-                // Row `max_seq − 1` is the last admissible row, so the
-                // exclusive snapshot bound clamps to `max_seq`.
-                *end_row = (*end_row).min(max_seq);
+                // Row `max_seq − 1` is the last admissible row, so the exclusive
+                // snapshot bound clamps to `max_seq`.
+                end_row = end_row.min(max_seq);
             }
-            *min_ts = bounds.min_ts;
-            *max_ts = bounds.max_ts;
-            if let (Some(limit), None, None) = (bounds.limit, *min_ts, *max_ts) {
-                *end_row = (*end_row).min(next_row.saturating_add(limit));
+            if let (Some(limit), None, None) = (bounds.limit, bounds.min_ts, bounds.max_ts) {
+                end_row = end_row.min(next_row.saturating_add(limit));
             }
             self.options.telemetry.index_seeks.inc();
         }
-        state
-    }
-
-    /// A pull-based scan starting at an exact global row index (pre-prune numbering):
-    /// the delta-cursor entry point.  Sequence numbers are assigned contiguously from 1
-    /// by the owning [`crate::StreamTable`] (and preserved across recovery *and*
-    /// segment reclamation — segment headers pin the numbering), so the row with
-    /// sequence `s` lives at global index `s - 1` — a "rows after sequence `after`"
-    /// scan starts at global index `after`.
-    fn open_scan_from_row(&self, target: u64) -> ScanState {
-        let target = target.max(self.logical_start);
-        if target >= self.total_rows {
-            return ScanState::empty();
-        }
         ScanState(ScanStateInner::Rows {
-            next_row: target,
-            end_row: self.total_rows,
+            next_row,
+            end_row,
             cutoff: None,
             passed: false,
-            min_ts: None,
-            max_ts: None,
+            min_ts: bounds.min_ts,
+            max_ts: bounds.max_ts,
         })
+    }
+
+    /// Pulls the next batch of a scan opened on this store.
+    fn scan_next(&mut self, state: &mut ScanState) -> GsnResult<Option<Vec<StreamElement>>> {
+        match &mut state.0 {
+            ScanStateInner::Empty => Ok(None),
+            ScanStateInner::Sequence { .. } => Err(GsnError::storage(
+                "resident scan state handed to a persistent backend",
+            )),
+            ScanStateInner::Rows {
+                next_row,
+                end_row,
+                cutoff,
+                passed,
+                min_ts,
+                max_ts,
+            } => self.scan_rows_next(next_row, *end_row, *cutoff, passed, *min_ts, *max_ts),
+        }
     }
 
     /// Advances a row scan by (at least) one page, returning its live rows.
@@ -1361,14 +1279,9 @@ impl Inner {
         stats: &mut ReclaimStats,
     ) -> GsnResult<()> {
         let live_start = self.logical_start;
-        let live_in_segment = self.index[len - 1].info.end_row() - live_start;
         // Collect the surviving rows (chains are followed into later pages/segments,
         // so a boundary row is rewritten whole).
-        let mut rows: Vec<StreamElement> = Vec::with_capacity(live_in_segment as usize);
-        let from_pos = self
-            .index
-            .partition_point(|e| e.info.end_row() <= live_start);
-        self.scan_payloads(from_pos, live_in_segment, &mut |e| rows.push(e.clone()))?;
+        let rows = self.read_rows(live_start, self.index[len - 1].info.end_row())?;
         let (pages, mut infos) = pack_rows(&rows);
         if pages.len() as u32 > MAX_SEGMENT_PAGES {
             // A pathological all-oversized-rows segment: skip rather than overflow the
@@ -1544,15 +1457,9 @@ impl StorageBackend for PersistentBackend {
 
     fn first_timestamp(&self) -> GsnResult<Option<Timestamp>> {
         let mut inner = self.inner.lock();
-        if inner.live_rows() == 0 {
-            return Ok(None);
-        }
-        let start = inner.first_live_pos;
-        let mut first: Option<Timestamp> = None;
-        inner.scan_payloads(start, 1, &mut |element| {
-            first = Some(element.timestamp());
-        })?;
-        Ok(first)
+        let start = inner.logical_start;
+        let first = inner.read_rows(start, start + 1)?;
+        Ok(first.first().map(StreamElement::timestamp))
     }
 
     fn retained_bytes(&self) -> usize {
@@ -1567,103 +1474,13 @@ impl StorageBackend for PersistentBackend {
         self.inner.lock().max_sequence
     }
 
-    fn scan_window(
-        &self,
-        window: WindowSpec,
-        now: Timestamp,
-        visit: &mut dyn FnMut(&StreamElement),
-    ) -> GsnResult<()> {
-        let mut inner = self.inner.lock();
-        let live = inner.live_rows();
-        if live == 0 {
-            return Ok(());
-        }
-        match window {
-            WindowSpec::Count(n) if (n as u64) >= live => {
-                // Full scan: stream straight through, nothing buffered.
-                let start = inner.first_live_pos;
-                inner.scan_payloads(start, u64::MAX, visit)
-            }
-            WindowSpec::Count(_) | WindowSpec::LatestOnly => {
-                let n = match window {
-                    WindowSpec::LatestOnly => 1,
-                    WindowSpec::Count(n) => n,
-                    WindowSpec::Time(_) => unreachable!(),
-                };
-                // Start at the latest page run that still covers n live rows.
-                let start = {
-                    let mut covered: u64 = 0;
-                    let mut pos = inner.index.len();
-                    while pos > inner.first_live_pos && covered < n as u64 {
-                        pos -= 1;
-                        let info = &inner.index[pos].info;
-                        let live_start = info.first_row.max(inner.logical_start);
-                        covered += info.end_row().saturating_sub(live_start);
-                    }
-                    pos
-                };
-                // Keep only the trailing n in a bounded ring.
-                let mut ring: std::collections::VecDeque<StreamElement> =
-                    std::collections::VecDeque::with_capacity(n.min(4096));
-                inner.scan_payloads(start, u64::MAX, &mut |e| {
-                    if ring.len() == n {
-                        ring.pop_front();
-                    }
-                    ring.push_back(e.clone());
-                })?;
-                for e in &ring {
-                    visit(e);
-                }
-                Ok(())
-            }
-            WindowSpec::Time(d) => {
-                let cutoff = now.saturating_sub(d);
-                // Skip pages that end before the cutoff.
-                let mut start = inner.first_live_pos;
-                while start < inner.index.len()
-                    && inner.index[start].info.rows > 0
-                    && inner.index[start].info.max_ts < cutoff.as_millis()
-                {
-                    start += 1;
-                }
-                // Stream with partition-point semantics: everything from the first
-                // in-horizon element onward (matching WindowSpec::select on a vector).
-                let mut passed = false;
-                inner.scan_payloads(start, u64::MAX, &mut |e| {
-                    if !passed && e.timestamp() >= cutoff {
-                        passed = true;
-                    }
-                    if passed {
-                        visit(e);
-                    }
-                })
-            }
-        }
-    }
-
-    fn open_scan(&self, window: WindowSpec, now: Timestamp) -> GsnResult<ScanState> {
-        Ok(self.inner.lock().open_scan_state(window, now))
-    }
-
-    fn open_scan_bounded(
+    fn open_scan(
         &self,
         window: WindowSpec,
         now: Timestamp,
         bounds: &ScanBounds,
     ) -> GsnResult<ScanState> {
-        Ok(self
-            .inner
-            .lock()
-            .open_scan_state_bounded(window, now, bounds))
-    }
-
-    fn open_scan_after(&self, after: u64) -> GsnResult<ScanState> {
-        let inner = self.inner.lock();
-        debug_assert_eq!(
-            inner.max_sequence, inner.total_rows,
-            "sequence numbering must stay contiguous with the heap row index"
-        );
-        Ok(inner.open_scan_from_row(after))
+        Ok(self.inner.lock().open_scan_state(window, now, bounds))
     }
 
     fn first_sequence(&self) -> GsnResult<Option<u64>> {
@@ -1671,29 +1488,13 @@ impl StorageBackend for PersistentBackend {
         if inner.live_rows() == 0 {
             return Ok(None);
         }
-        // Sequences are contiguous from 1 (see `open_scan_from_row`), so the oldest
+        // Sequences are contiguous from 1 (sequence `s` ⇔ global row `s − 1`), so the oldest
         // live row — global index `logical_start` — carries `logical_start + 1`.
         Ok(Some(inner.logical_start + 1))
     }
 
     fn scan_next(&self, state: &mut ScanState) -> GsnResult<Option<Vec<StreamElement>>> {
-        match &mut state.0 {
-            ScanStateInner::Empty => Ok(None),
-            ScanStateInner::Sequence { .. } => Err(GsnError::storage(
-                "resident scan state handed to a persistent backend",
-            )),
-            ScanStateInner::Rows {
-                next_row,
-                end_row,
-                cutoff,
-                passed,
-                min_ts,
-                max_ts,
-            } => self
-                .inner
-                .lock()
-                .scan_rows_next(next_row, *end_row, *cutoff, passed, *min_ts, *max_ts),
-        }
+        self.inner.lock().scan_next(state)
     }
 
     fn prune_to_elements(&mut self, keep: usize) -> GsnResult<u64> {
@@ -1815,13 +1616,21 @@ mod tests {
     }
 
     fn collect(backend: &dyn StorageBackend, window: WindowSpec, now: Timestamp) -> Vec<i64> {
-        let mut out = Vec::new();
-        backend
-            .scan_window(window, now, &mut |e| {
-                out.push(e.value("V").unwrap().as_integer().unwrap());
-            })
+        let mut state = backend
+            .open_scan(window, now, &ScanBounds::default())
             .unwrap();
-        out
+        drain_scan(backend, &mut state)
+    }
+
+    /// A delta scan: every live row after sequence `after`.
+    fn delta(backend: &dyn StorageBackend, after: u64) -> ScanState {
+        let bounds = ScanBounds {
+            min_seq: Some(after + 1),
+            ..Default::default()
+        };
+        backend
+            .open_scan(WindowSpec::Count(usize::MAX), Timestamp::MAX, &bounds)
+            .unwrap()
     }
 
     #[test]
@@ -1886,21 +1695,21 @@ mod tests {
                 b.append(&element(&s, i, i * 10, 16)).unwrap();
             }
             // Everything after sequence 150 (exact, no page over-read at the row level).
-            let mut scan = b.open_scan_after(150).unwrap();
+            let mut scan = delta(b.as_ref(), 150);
             assert_eq!(
                 drain_scan(b.as_ref(), &mut scan),
                 (151..=200).collect::<Vec<i64>>(),
                 "persistent={persistent}"
             );
             // Nothing new yet.
-            let mut scan = b.open_scan_after(200).unwrap();
+            let mut scan = delta(b.as_ref(), 200);
             assert!(drain_scan(b.as_ref(), &mut scan).is_empty());
             // Rows appended after the cursor opened are invisible to it (snapshot),
             // but a fresh delta scan picks them up.
-            let mut scan = b.open_scan_after(200).unwrap();
+            let mut scan = delta(b.as_ref(), 200);
             b.append(&element(&s, 201, 2_010, 16)).unwrap();
             assert!(drain_scan(b.as_ref(), &mut scan).is_empty());
-            let mut scan = b.open_scan_after(200).unwrap();
+            let mut scan = delta(b.as_ref(), 200);
             assert_eq!(drain_scan(b.as_ref(), &mut scan), vec![201]);
             assert_eq!(b.first_sequence().unwrap(), Some(1));
             b.destroy().unwrap();
@@ -1928,7 +1737,7 @@ mod tests {
             assert!(b.len() >= 50);
             // A delta resume point below the prune watermark starts at the oldest
             // live row instead of failing.
-            let mut scan = b.open_scan_after(10).unwrap();
+            let mut scan = delta(b.as_ref(), 10);
             assert_eq!(
                 drain_scan(b.as_ref(), &mut scan),
                 (oldest as i64..=300).collect::<Vec<i64>>(),
@@ -1949,7 +1758,7 @@ mod tests {
             }
         }
         let b = open(&dir, 4);
-        let mut scan = b.open_scan_after(100).unwrap();
+        let mut scan = delta(&b, 100);
         assert_eq!(drain_scan(&b, &mut scan), (101..=120).collect::<Vec<i64>>());
         assert_eq!(b.first_sequence().unwrap(), Some(1));
     }
@@ -2004,11 +1813,21 @@ mod tests {
         for i in 1..=10 {
             b.append(&element(&s, i, i, 32 * 1024)).unwrap();
         }
+        let mut state = b
+            .open_scan(
+                WindowSpec::Count(usize::MAX),
+                Timestamp(100),
+                &ScanBounds::default(),
+            )
+            .unwrap();
         let mut sizes = Vec::new();
-        b.scan_window(WindowSpec::Count(usize::MAX), Timestamp(100), &mut |e| {
-            sizes.push(e.value("PAYLOAD").unwrap().as_bytes().unwrap().len());
-        })
-        .unwrap();
+        while let Some(batch) = b.scan_next(&mut state).unwrap() {
+            sizes.extend(
+                batch
+                    .iter()
+                    .map(|e| e.value("PAYLOAD").unwrap().as_bytes().unwrap().len()),
+            );
+        }
         assert_eq!(sizes, vec![32 * 1024; 10]);
         // And they survive restart.
         drop(b);
@@ -2089,63 +1908,6 @@ mod tests {
         assert!(table_files(&dir).is_empty());
     }
 
-    fn collect_cursor(b: &dyn StorageBackend, window: WindowSpec, now: Timestamp) -> Vec<i64> {
-        let mut state = b.open_scan(window, now).unwrap();
-        let mut out = Vec::new();
-        while let Some(batch) = b.scan_next(&mut state).unwrap() {
-            out.extend(
-                batch
-                    .iter()
-                    .map(|e| e.value("V").unwrap().as_integer().unwrap()),
-            );
-        }
-        out
-    }
-
-    #[test]
-    fn cursor_scan_matches_window_scan() {
-        let dir = temp_dir("backend-cursor-parity");
-        let s = schema();
-        let mut mem = ResidentBackend::default();
-        let mut per = open(&dir, 4);
-        for i in 1..=800 {
-            mem.append(&element(&s, i, i * 10, 24)).unwrap();
-            per.append(&element(&s, i, i * 10, 24)).unwrap();
-        }
-        let now = Timestamp(10_000);
-        for window in [
-            WindowSpec::Count(usize::MAX),
-            WindowSpec::Count(800),
-            WindowSpec::Count(7),
-            WindowSpec::Count(1),
-            WindowSpec::LatestOnly,
-            WindowSpec::Time(gsn_types::Duration::from_millis(1_234)),
-            WindowSpec::Time(gsn_types::Duration::from_millis(5)),
-        ] {
-            let expected = collect(&mem, window, now);
-            assert_eq!(
-                collect_cursor(&mem, window, now),
-                expected,
-                "{window:?} mem"
-            );
-            assert_eq!(collect(&per, window, now), expected, "{window:?} per visit");
-            assert_eq!(
-                collect_cursor(&per, window, now),
-                expected,
-                "{window:?} per cursor"
-            );
-        }
-        // Parity survives page-granular pruning.
-        mem.prune_to_elements(50).unwrap();
-        per.prune_to_elements(50).unwrap();
-        let per_all = collect_cursor(&per, WindowSpec::Count(usize::MAX), now);
-        assert_eq!(per_all, collect(&per, WindowSpec::Count(usize::MAX), now));
-        assert_eq!(
-            collect_cursor(&per, WindowSpec::Count(10), now),
-            (791..=800).collect::<Vec<i64>>()
-        );
-    }
-
     #[test]
     fn zero_count_window_scans_nothing() {
         let dir = temp_dir("backend-cursor-zero");
@@ -2156,8 +1918,8 @@ mod tests {
             mem.append(&element(&s, i, i, 8)).unwrap();
             per.append(&element(&s, i, i, 8)).unwrap();
         }
-        assert!(collect_cursor(&mem, WindowSpec::Count(0), Timestamp(100)).is_empty());
-        assert!(collect_cursor(&per, WindowSpec::Count(0), Timestamp(100)).is_empty());
+        assert!(collect(&mem, WindowSpec::Count(0), Timestamp(100)).is_empty());
+        assert!(collect(&per, WindowSpec::Count(0), Timestamp(100)).is_empty());
     }
 
     #[test]
@@ -2169,7 +1931,11 @@ mod tests {
             b.append(&element(&s, i, i, 32 * 1024)).unwrap();
         }
         let mut state = b
-            .open_scan(WindowSpec::Count(usize::MAX), Timestamp(100))
+            .open_scan(
+                WindowSpec::Count(usize::MAX),
+                Timestamp(100),
+                &ScanBounds::default(),
+            )
             .unwrap();
         let mut values = Vec::new();
         while let Some(batch) = b.scan_next(&mut state).unwrap() {
@@ -2194,7 +1960,11 @@ mod tests {
         }
         let before = b.pool_stats().unwrap();
         let mut state = b
-            .open_scan(WindowSpec::Count(usize::MAX), Timestamp(10_000))
+            .open_scan(
+                WindowSpec::Count(usize::MAX),
+                Timestamp(10_000),
+                &ScanBounds::default(),
+            )
             .unwrap();
         let first = b.scan_next(&mut state).unwrap().unwrap();
         assert!(!first.is_empty());
@@ -2250,7 +2020,7 @@ mod tests {
         // The surviving tail still reads exactly right, through both scan paths.
         let tail = collect(&b, WindowSpec::Count(10), Timestamp(10_000));
         assert_eq!(tail, (391..=400).collect::<Vec<i64>>());
-        let mut scan = b.open_scan_after(395).unwrap();
+        let mut scan = delta(&b, 395);
         assert_eq!(drain_scan(&b, &mut scan), (396..=400).collect::<Vec<i64>>());
     }
 
@@ -2278,12 +2048,12 @@ mod tests {
         // Live rows kept their sequences and values across the rewrite.
         let all = collect(&b, WindowSpec::Count(usize::MAX), Timestamp(10_000));
         assert_eq!(all, (7..=25).collect::<Vec<i64>>());
-        let mut scan = b.open_scan_after(20).unwrap();
+        let mut scan = delta(&b, 20);
         assert_eq!(drain_scan(&b, &mut scan), (21..=25).collect::<Vec<i64>>());
         // A fresh check of the sequence→row mapping from the oldest live row.
         let oldest = b.first_sequence().unwrap().unwrap();
         assert_eq!(oldest, 7);
-        let mut scan = b.open_scan_after(oldest - 1).unwrap();
+        let mut scan = delta(&b, oldest - 1);
         assert_eq!(
             drain_scan(&b, &mut scan),
             (oldest as i64..=25).collect::<Vec<i64>>()
@@ -2308,7 +2078,7 @@ mod tests {
         }
         // Open a cursor over everything after 100, pull one batch, then reclaim the
         // rows the cursor already consumed.
-        let mut scan = b.open_scan_after(100).unwrap();
+        let mut scan = delta(&b, 100);
         let first = b.scan_next(&mut scan).unwrap().unwrap();
         let consumed_to = first.last().unwrap().sequence();
         let mut got: Vec<i64> = first
@@ -2346,7 +2116,7 @@ mod tests {
         let all = collect(&b, WindowSpec::Count(usize::MAX), Timestamp(10_000));
         assert_eq!(all, (oldest as i64..=280).collect::<Vec<i64>>());
         // Sequence numbering continues where the previous incarnation stopped.
-        let mut scan = b.open_scan_after(270).unwrap();
+        let mut scan = delta(&b, 270);
         assert_eq!(drain_scan(&b, &mut scan), (271..=280).collect::<Vec<i64>>());
     }
 
@@ -2389,7 +2159,7 @@ mod tests {
         };
         for b in [&mem as &dyn StorageBackend, &per] {
             let mut state = b
-                .open_scan_bounded(WindowSpec::Count(usize::MAX), Timestamp(10_000), &bounds)
+                .open_scan(WindowSpec::Count(usize::MAX), Timestamp(10_000), &bounds)
                 .unwrap();
             assert_eq!(
                 drain_scan(b, &mut state),
@@ -2399,7 +2169,7 @@ mod tests {
         // The persistent point lookup touches only the page(s) holding the range.
         let before = per.pool_stats().unwrap();
         let mut state = per
-            .open_scan_bounded(
+            .open_scan(
                 WindowSpec::Count(usize::MAX),
                 Timestamp(10_000),
                 &ScanBounds {
@@ -2441,7 +2211,7 @@ mod tests {
             ..Default::default()
         };
         let mut state = b
-            .open_scan_bounded(WindowSpec::Count(usize::MAX), Timestamp(100_000), &bounds)
+            .open_scan(WindowSpec::Count(usize::MAX), Timestamp(100_000), &bounds)
             .unwrap();
         // Time bounds are page-granular hints: the scan returns a superset of the
         // qualifying rows (whole overlapping pages); the SQL residual filter makes
@@ -2457,11 +2227,32 @@ mod tests {
             "bounded scan returned {} of 2000 rows",
             got.len()
         );
-        assert!(telemetry.index_seeks.get() >= 1);
-        assert!(
-            telemetry.index_pages_skipped.get() > 0,
-            "time-range scan skipped no pages"
+        assert_eq!(telemetry.index_seeks.get(), 1, "one bounded open, one seek");
+        let skipped = telemetry.index_pages_skipped.get();
+        assert!(skipped > 0, "time-range scan skipped no pages");
+        // An unbounded scan reads every page and is no seek.
+        assert_eq!(
+            collect(&b, WindowSpec::Count(usize::MAX), Timestamp(100_000)).len(),
+            2_000
         );
+        assert_eq!(telemetry.index_seeks.get(), 1);
+        assert_eq!(telemetry.index_pages_skipped.get(), skipped);
+        // A spilled window re-enters its cold store once per batch; those
+        // continuations are not bounded opens and count nothing.
+        let spill_dir = temp_dir("backend-bounds-spill");
+        let mut options = crate::spill::SpillOptions::with_budget(2 * 1024);
+        options.persistent.telemetry = telemetry.clone();
+        let mut spilled = ResidentBackend::spilling(&spill_dir, "w", s.clone(), options).unwrap();
+        for i in 1..=500 {
+            spilled.append(&element(&s, i, i * 10, 64)).unwrap();
+        }
+        assert!(spilled.spilled_rows() > 0);
+        assert_eq!(
+            collect(&spilled, WindowSpec::Count(usize::MAX), Timestamp(100_000)),
+            (1..=500).collect::<Vec<i64>>()
+        );
+        assert_eq!(telemetry.index_seeks.get(), 1);
+        assert_eq!(telemetry.index_pages_skipped.get(), skipped);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! [`StorageBackend`]s:
 //!
 //! * **Resident** ([`ResidentBackend`]) — every memory table: a `Vec` of elements with
-//!   exact retention and zero-copy window evaluation.  Right for the small bounded
+//!   exact retention; a cursor copies only the rows it pulls.  Right for the small bounded
 //!   windows of stream sources; with a spill budget it also moves its cold prefix into
 //!   a log-less segment store (see below).
 //! * **Persistent** ([`PersistentBackend`]) — chosen per table from the descriptor's
@@ -69,7 +69,7 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use gsn_storage::{StorageManager, Retention, WindowSpec, CatalogView};
+//! use gsn_storage::{StorageManager, Retention, WindowSpec, CatalogView, LiveCatalog};
 //! use gsn_types::{DataType, StreamElement, StreamSchema, Timestamp, Value};
 //!
 //! let storage = StorageManager::new();
@@ -79,9 +79,9 @@
 //!     let e = StreamElement::new(schema.clone(), vec![Value::Integer(20 + i)], Timestamp(i * 100)).unwrap();
 //!     storage.insert("motes", e, Timestamp(i * 100)).unwrap();
 //! }
-//! let catalog = storage
-//!     .windowed_catalog(&[CatalogView::new("src1", "motes", WindowSpec::Count(3))], Timestamp(400))
-//!     .unwrap();
+//! // A window is read live: the view is built once, and each evaluation scans it.
+//! let views = [CatalogView::new("src1", "motes", WindowSpec::Count(3))];
+//! let catalog = LiveCatalog::new(&storage, &views, Timestamp(400));
 //! let mut engine = gsn_sql::SqlEngine::new();
 //! let avg = engine.execute_scalar("select avg(temperature) from src1", &catalog).unwrap();
 //! assert_eq!(avg, Value::Double(23.0));

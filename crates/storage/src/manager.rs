@@ -397,32 +397,6 @@ impl StorageManager {
         *self.maintenance.lock()
     }
 
-    /// Builds a SQL catalog exposing a windowed view of selected tables.
-    ///
-    /// `views` maps the SQL-visible alias to `(table name, window, sampling rate)`.
-    /// This is the bridge between the storage layer and the query manager: step 2 of the
-    /// paper's pipeline (window evaluation) materialises here, and the per-source / output
-    /// queries then run against the returned catalog.
-    pub fn windowed_catalog(
-        &self,
-        views: &[CatalogView],
-        now: Timestamp,
-    ) -> GsnResult<gsn_sql::MemoryCatalog> {
-        let mut catalog = gsn_sql::MemoryCatalog::new();
-        for view in views {
-            let table = self.table(&view.table)?;
-            let guard = table.read();
-            let relation = match view.sampling_rate {
-                Some(rate) if rate < 1.0 => {
-                    guard.sampled_window_relation(&view.alias, view.window, now, rate)?
-                }
-                _ => guard.window_relation(&view.alias, view.window, now)?,
-            };
-            catalog.register(&view.alias, relation);
-        }
-        Ok(catalog)
-    }
-
     /// Aggregated statistics across every table.
     pub fn stats(&self) -> StorageStats {
         let tables = self.tables.read();
@@ -495,11 +469,13 @@ impl CatalogView {
     }
 }
 
-/// A [`Catalog`] adapter that evaluates windows lazily at lookup time.
+/// A [`Catalog`] adapter that evaluates windows lazily at lookup time: every scan opens
+/// a [`StreamCursor`] over the current window contents.
 ///
-/// The query repository registers long-lived client queries; executing one against a
-/// `LiveCatalog` always sees the *current* window contents, which is what the paper's
-/// Figure 4 experiment measures (N clients re-evaluated per new stream element).
+/// It is how every window reaches SQL.  A deployed sensor's pipeline reads each source
+/// window through its `wrapper` view per arrival (step 2 of the paper's pipeline), and
+/// the query repository re-evaluates long-lived client queries per new stream element
+/// (what the paper's Figure 4 experiment measures).
 pub struct LiveCatalog<'a> {
     manager: &'a StorageManager,
     views: &'a [CatalogView],
@@ -522,81 +498,33 @@ impl<'a> LiveCatalog<'a> {
 }
 
 impl Catalog for LiveCatalog<'_> {
-    fn scan(&self, name: &str) -> GsnResult<Box<dyn RowSource>> {
+    fn scan(&self, name: &str, spec: &ScanSpec) -> GsnResult<Box<dyn RowSource>> {
         // First try a declared view alias; fall back to a raw table with its full content,
-        // so ad-hoc client queries can also address tables directly.
-        if let Some(view) = self
+        // so ad-hoc client queries can also address tables directly.  The optimizer's
+        // pushed-down spec reaches the cursor, so storage can seek via the segment index
+        // instead of walking the whole window.
+        let view = self
             .views
             .iter()
-            .find(|v| v.alias.eq_ignore_ascii_case(name))
-        {
-            let table = self.manager.table(&view.table)?;
-            let cursor = StreamCursor::open(
-                table,
-                &view.alias,
+            .find(|v| v.alias.eq_ignore_ascii_case(name));
+        let (table, alias, window, sampling_rate) = match view {
+            Some(view) => (
+                view.table.as_str(),
+                view.alias.as_str(),
                 view.window,
-                self.now,
                 view.sampling_rate,
-            )?;
-            return Ok(Box::new(cursor));
-        }
-        let table = self.manager.table(name)?;
-        let cursor =
-            StreamCursor::open(table, name, WindowSpec::Count(usize::MAX), self.now, None)?;
-        Ok(Box::new(cursor))
-    }
-
-    fn scan_with_spec(&self, name: &str, spec: &ScanSpec) -> GsnResult<Box<dyn RowSource>> {
-        // Mirror of `scan`, handing the optimizer's pushed-down spec to the cursor so
-        // storage can seek via the segment index instead of walking the whole window.
-        if let Some(view) = self
-            .views
-            .iter()
-            .find(|v| v.alias.eq_ignore_ascii_case(name))
-        {
-            let table = self.manager.table(&view.table)?;
-            let cursor = StreamCursor::open_with_spec(
-                table,
-                &view.alias,
-                view.window,
-                self.now,
-                view.sampling_rate,
-                spec,
-            )?;
-            return Ok(Box::new(cursor));
-        }
-        let table = self.manager.table(name)?;
+            ),
+            None => (name, name, WindowSpec::Count(usize::MAX), None),
+        };
         let cursor = StreamCursor::open_with_spec(
-            table,
-            name,
-            WindowSpec::Count(usize::MAX),
+            self.manager.table(table)?,
+            alias,
+            window,
             self.now,
-            None,
+            sampling_rate,
             spec,
         )?;
         Ok(Box::new(cursor))
-    }
-
-    fn relation(&self, name: &str) -> GsnResult<Relation> {
-        // Materialising convenience kept on the direct path: identical rows to
-        // collecting `scan`, without the per-batch cursor machinery.
-        if let Some(view) = self
-            .views
-            .iter()
-            .find(|v| v.alias.eq_ignore_ascii_case(name))
-        {
-            let table = self.manager.table(&view.table)?;
-            let guard = table.read();
-            return match view.sampling_rate {
-                Some(rate) if rate < 1.0 => {
-                    guard.sampled_window_relation(&view.alias, view.window, self.now, rate)
-                }
-                _ => guard.window_relation(&view.alias, view.window, self.now),
-            };
-        }
-        let table = self.manager.table(name)?;
-        let guard = table.read();
-        guard.window_relation(name, WindowSpec::Count(usize::MAX), self.now)
     }
 }
 
@@ -612,12 +540,13 @@ pub struct StreamCursor {
     table: Arc<RwLock<StreamTable>>,
     state: ScanState,
     columns: Vec<ColumnInfo>,
-    buffered: std::collections::VecDeque<StreamElement>,
+    /// What is left of the batch last pulled from storage.
+    batch: std::vec::IntoIter<StreamElement>,
     /// Deterministic sampling: keep elements whose sequence is a multiple of this
-    /// (`None` = keep everything, mirroring `sampled_window_relation`).
+    /// (`None` = keep everything; see [`crate::table::sampling_stride`]).
     keep_every: Option<usize>,
     /// Projection pushdown: schema-field positions (after `PK`/`TIMED`) the query never
-    /// reads are emitted as `Value::Null` instead of cloned (`None` = emit everything).
+    /// reads are emitted as `Value::Null` (`None` = emit everything).
     masked_fields: Option<Vec<bool>>,
     done: bool,
 }
@@ -660,30 +589,24 @@ impl StreamCursor {
         let keep_every = sampling_rate.and_then(crate::table::sampling_stride);
         let (state, columns) = {
             let guard = table.read();
-            let columns = Relation::for_stream_schema(alias, guard.schema())
-                .columns()
-                .to_vec();
+            let columns = Relation::stream_columns(alias, guard.schema());
             // Sampling keeps rows by absolute sequence; bounds would interact with the
             // stride in surprising ways under a limit hint, so sampled cursors scan the
             // plain window and leave all filtering to the executor.
-            let state = if keep_every.is_some() || spec.is_default() {
-                guard.open_scan(window, now)?
+            let bounds = if keep_every.is_some() {
+                ScanBounds::default()
             } else {
-                let bounds = ScanBounds {
+                ScanBounds {
                     min_seq: spec.min_seq,
                     max_seq: spec.max_seq,
                     min_ts: spec.min_ts,
                     max_ts: spec.max_ts,
                     // The limit is only sound when every returned row reaches the
                     // consumer: no residual predicate dropping rows above the scan.
-                    limit: if spec.residual.is_empty() {
-                        spec.limit
-                    } else {
-                        None
-                    },
-                };
-                guard.open_scan_bounded(window, now, &bounds)?
+                    limit: spec.limit.filter(|_| spec.residual.is_empty()),
+                }
             };
+            let state = guard.open_scan(window, now, &bounds)?;
             (state, columns)
         };
         // `columns` is `[PK, TIMED, fields...]`; the mask covers only the field tail.
@@ -700,7 +623,7 @@ impl StreamCursor {
             table,
             state,
             columns,
-            buffered: std::collections::VecDeque::new(),
+            batch: Vec::new().into_iter(),
             keep_every,
             masked_fields,
         })
@@ -713,39 +636,33 @@ impl RowSource for StreamCursor {
     }
 
     fn next_row(&mut self) -> GsnResult<Option<Vec<Value>>> {
-        while self.buffered.is_empty() {
-            if self.done {
-                return Ok(None);
-            }
-            let batch = self.table.read().scan_next(&mut self.state)?;
-            match batch {
-                Some(batch) => {
-                    for element in batch {
-                        if let Some(keep_every) = self.keep_every {
-                            if !(element.sequence() as usize).is_multiple_of(keep_every) {
-                                continue;
-                            }
-                        }
-                        self.buffered.push_back(element);
+        let element = loop {
+            match self.batch.next() {
+                Some(element) => {
+                    let sampled_out = self
+                        .keep_every
+                        .is_some_and(|k| !(element.sequence() as usize).is_multiple_of(k));
+                    if !sampled_out {
+                        break element;
                     }
                 }
-                None => {
-                    self.done = true;
-                    return Ok(None);
+                None if self.done => return Ok(None),
+                None => match self.table.read().scan_next(&mut self.state)? {
+                    Some(batch) => self.batch = batch.into_iter(),
+                    None => {
+                        self.done = true;
+                        return Ok(None);
+                    }
+                },
+            }
+        };
+        let mut row = Relation::stream_row(element);
+        if let Some(mask) = &self.masked_fields {
+            for (value, masked) in row[2..].iter_mut().zip(mask) {
+                if *masked {
+                    *value = Value::Null;
                 }
             }
-        }
-        let element = self.buffered.pop_front().expect("non-empty buffer");
-        let mut row = Vec::with_capacity(self.columns.len());
-        row.push(Value::Integer(element.sequence() as i64));
-        row.push(Value::Timestamp(element.timestamp()));
-        match &self.masked_fields {
-            Some(mask) => {
-                for (value, masked) in element.values().iter().zip(mask) {
-                    row.push(if *masked { Value::Null } else { value.clone() });
-                }
-            }
-            None => row.extend_from_slice(element.values()),
         }
         Ok(Some(row))
     }
@@ -806,52 +723,43 @@ mod tests {
     }
 
     #[test]
-    fn windowed_catalog_materialises_views() {
+    fn live_catalog_evaluates_views() {
         let m = manager_with_data();
-        let catalog = m
-            .windowed_catalog(
-                &[
-                    CatalogView::new("src1", "motes", WindowSpec::Count(3)),
-                    CatalogView::new(
-                        "src2",
-                        "motes",
-                        WindowSpec::Time(Duration::from_millis(450)),
-                    ),
-                ],
-                Timestamp(1_000),
-            )
-            .unwrap();
+        let views = [
+            CatalogView::new("src1", "motes", WindowSpec::Count(3)),
+            CatalogView::new(
+                "src2",
+                "motes",
+                WindowSpec::Time(Duration::from_millis(450)),
+            ),
+            CatalogView::new("x", "nosuch", WindowSpec::LatestOnly),
+        ];
+        let live = LiveCatalog::new(&m, &views, Timestamp(1_000));
         let mut engine = gsn_sql::SqlEngine::new();
         let n = engine
-            .execute_scalar("select count(*) from src1", &catalog)
+            .execute_scalar("select count(*) from src1", &live)
             .unwrap();
         assert_eq!(n, Value::Integer(3));
         let n = engine
-            .execute_scalar("select count(*) from src2", &catalog)
+            .execute_scalar("select count(*) from src2", &live)
             .unwrap();
         assert_eq!(n, Value::Integer(5)); // timestamps 600..1000
-        assert!(m
-            .windowed_catalog(
-                &[CatalogView::new("x", "nosuch", WindowSpec::LatestOnly)],
-                Timestamp(0)
-            )
-            .is_err());
+        assert!(engine.execute("select * from x", &live).is_err());
     }
 
     #[test]
-    fn windowed_catalog_applies_sampling() {
+    fn live_catalog_applies_sampling() {
         let m = manager_with_data();
-        let catalog = m
-            .windowed_catalog(
-                &[CatalogView::new("s", "motes", WindowSpec::Count(10)).with_sampling(0.5)],
-                Timestamp(1_000),
-            )
-            .unwrap();
         let mut engine = gsn_sql::SqlEngine::new();
-        let n = engine
-            .execute_scalar("select count(*) from s", &catalog)
-            .unwrap();
-        assert_eq!(n, Value::Integer(5));
+        // Sampling keeps sequences that are multiples of the stride (1..=10 here).
+        for (rate, kept) in [(1.0, 10), (0.5, 5), (0.1, 1), (0.0, 0)] {
+            let views = [CatalogView::new("s", "motes", WindowSpec::Count(10)).with_sampling(rate)];
+            let live = LiveCatalog::new(&m, &views, Timestamp(1_000));
+            let n = engine
+                .execute_scalar("select count(*) from s", &live)
+                .unwrap();
+            assert_eq!(n, Value::Integer(kept), "rate {rate}");
+        }
     }
 
     #[test]
@@ -879,24 +787,30 @@ mod tests {
     }
 
     #[test]
-    fn live_catalog_scan_streams_the_same_rows_as_relation() {
+    fn live_catalog_scans_views_and_raw_tables() {
         let m = manager_with_data();
-        let views = vec![
-            CatalogView::new("src1", "motes", WindowSpec::Count(3)),
-            CatalogView::new("sampled", "motes", WindowSpec::Count(10)).with_sampling(0.5),
-        ];
+        let views = vec![CatalogView::new("src1", "motes", WindowSpec::Count(3))];
         let live = LiveCatalog::new(&m, &views, Timestamp(1_000));
-        for name in ["src1", "sampled", "motes"] {
-            let rel = live.relation(name).unwrap();
-            let collected = live.scan(name).unwrap().collect().unwrap();
-            assert_eq!(collected.rows(), rel.rows(), "table {name}");
-            assert_eq!(collected.columns(), rel.columns(), "table {name}");
+        let spec = ScanSpec::default();
+        for (name, rows) in [("src1", 3), ("motes", 10)] {
+            let scanned = live.scan(name, &spec).unwrap().collect().unwrap();
+            assert_eq!(scanned.row_count(), rows, "table {name}");
+            let columns: Vec<String> = scanned.columns().iter().map(|c| c.to_string()).collect();
+            let qualified = |column: &str| format!("{name}.{column}");
+            assert_eq!(
+                columns,
+                vec![
+                    qualified("PK"),
+                    qualified("TIMED"),
+                    qualified("TEMPERATURE")
+                ]
+            );
         }
-        assert!(live.scan("nosuch").is_err());
+        assert!(live.scan("nosuch", &spec).is_err());
     }
 
     #[test]
-    fn scan_with_spec_bounds_and_masks_the_cursor() {
+    fn scan_spec_bounds_and_masks_the_cursor() {
         let m = manager_with_data();
         let live = LiveCatalog::new(&m, &[], Timestamp(1_000));
 
@@ -906,11 +820,7 @@ mod tests {
             max_seq: Some(7),
             ..ScanSpec::default()
         };
-        let rows = live
-            .scan_with_spec("motes", &spec)
-            .unwrap()
-            .collect()
-            .unwrap();
+        let rows = live.scan("motes", &spec).unwrap().collect().unwrap();
         let seqs: Vec<i64> = rows
             .rows()
             .iter()
@@ -927,26 +837,13 @@ mod tests {
             limit: Some(2),
             ..ScanSpec::default()
         };
-        let rows = live
-            .scan_with_spec("motes", &spec)
-            .unwrap()
-            .collect()
-            .unwrap();
+        let rows = live.scan("motes", &spec).unwrap().collect().unwrap();
         assert_eq!(rows.rows().len(), 2);
         for row in rows.rows() {
             assert!(matches!(row[0], Value::Integer(_)));
             assert!(matches!(row[1], Value::Timestamp(_)));
             assert_eq!(row[2], Value::Null);
         }
-
-        // A default spec streams exactly what `scan` streams.
-        let plain = live.scan("motes").unwrap().collect().unwrap();
-        let specced = live
-            .scan_with_spec("motes", &ScanSpec::default())
-            .unwrap()
-            .collect()
-            .unwrap();
-        assert_eq!(specced.rows(), plain.rows());
     }
 
     #[test]

@@ -2,13 +2,14 @@
 //! prefix spilled to a persistent segment store.
 //!
 //! [`ResidentBackend`] is the only in-memory [`StorageBackend`].  Built with
-//! [`ResidentBackend::default`] it is a plain memory table: exact retention, zero-copy
-//! window evaluation, nothing on disk.  Built with [`ResidentBackend::spilling`] it also
-//! bounds its resident footprint, for windows like `storage-size="30d"` that hold weeks
-//! of history far beyond RAM: the newest elements stay in the vector (the hot path —
-//! window tails, `LatestOnly`, small count windows — never touches disk), and once the
-//! resident bytes exceed the configured budget the oldest half is moved into a
-//! [`PersistentBackend`] cache store shared with the container's buffer pool.
+//! [`ResidentBackend::default`] it is a plain memory table: exact retention, window
+//! starts resolved by arithmetic on sequences, nothing on disk.  Built with
+//! [`ResidentBackend::spilling`] it also bounds its resident footprint, for windows like
+//! `storage-size="30d"` that hold weeks of history far beyond RAM: the newest elements
+//! stay in the vector (the hot path — window tails, `LatestOnly`, small count windows —
+//! never touches disk), and once the resident bytes exceed the configured budget the
+//! oldest half is moved into a [`PersistentBackend`] cache store shared with the
+//! container's buffer pool.
 //!
 //! Scans are seamless across the spilled/resident boundary.  Sequences are assigned
 //! contiguously by the owning [`crate::StreamTable`], and elements spill strictly in
@@ -39,7 +40,13 @@ use crate::window::WindowSpec;
 
 /// Upper bound on elements per batch handed out by a resident scan cursor (persistent
 /// cursors batch by page instead: one buffer-pool page per call).
-const RESIDENT_SCAN_BATCH: usize = 1024;
+///
+/// A batch's vector stays under 1 KiB.  glibc's allocator serves a larger request from
+/// its large bins and first consolidates every small chunk freed since the last such
+/// request; a pipeline that read its window in one bigger batch paid that on every
+/// arrival, where smaller batches let the freed chunks be reused directly.
+const RESIDENT_SCAN_BATCH: usize = 1000 / std::mem::size_of::<StreamElement>();
+const _: () = assert!(RESIDENT_SCAN_BATCH > 0);
 
 /// Tuning for a disk-spilled window table.
 #[derive(Debug, Clone)]
@@ -219,7 +226,7 @@ impl ResidentBackend {
     ) -> GsnResult<Option<u64>> {
         if let Some(cold) = &self.cold {
             if cold.len() > 0 {
-                let mut state = cold.open_scan(window, now)?;
+                let mut state = cold.open_scan(window, now, &ScanBounds::default())?;
                 if let Some(batch) = cold.scan_next(&mut state)? {
                     if let Some(first) = batch.first() {
                         return Ok(Some(first.sequence()));
@@ -289,67 +296,21 @@ impl StorageBackend for ResidentBackend {
             .unwrap_or(0)
     }
 
-    fn scan_window(
+    fn open_scan(
         &self,
         window: WindowSpec,
         now: Timestamp,
-        visit: &mut dyn FnMut(&StreamElement),
-    ) -> GsnResult<()> {
-        match window {
-            WindowSpec::LatestOnly => self.scan_window(WindowSpec::Count(1), now, visit),
-            WindowSpec::Count(n) => {
-                if n <= self.resident.len() {
-                    for e in window.select(&self.resident, now) {
-                        visit(e);
-                    }
-                    return Ok(());
-                }
-                if let Some(cold) = &self.cold {
-                    // Trailing `n` across the boundary = trailing `n - resident` of the
-                    // cold store, then everything resident.
-                    cold.scan_window(WindowSpec::Count(n - self.resident.len()), now, visit)?;
-                }
-                for e in &self.resident {
-                    visit(e);
-                }
-                Ok(())
-            }
-            WindowSpec::Time(_) => {
-                // Partition-point semantics over the combined order: if the first
-                // in-horizon element is in the cold store, its scan emits from there
-                // and everything resident follows; otherwise partition the resident
-                // vector exactly as a memory table would.
-                let mut any_cold = false;
-                if let Some(cold) = &self.cold {
-                    cold.scan_window(window, now, &mut |e| {
-                        any_cold = true;
-                        visit(e);
-                    })?;
-                }
-                if any_cold {
-                    for e in &self.resident {
-                        visit(e);
-                    }
-                } else {
-                    for e in window.select(&self.resident, now) {
-                        visit(e);
-                    }
-                }
-                Ok(())
-            }
-        }
-    }
-
-    fn open_scan(&self, window: WindowSpec, now: Timestamp) -> GsnResult<ScanState> {
+        bounds: &ScanBounds,
+    ) -> GsnResult<ScanState> {
         let total = self.len() as u64;
         if total == 0 {
             return Ok(ScanState::empty());
         }
-        let end_seq = self.max_sequence();
+        let mut end_seq = self.max_sequence();
         let first_live = self
             .first_sequence()?
             .expect("non-empty table has a first sequence");
-        let next_seq = match window {
+        let mut next_seq = match window {
             WindowSpec::Count(0) => return Ok(ScanState::empty()),
             WindowSpec::Count(n) if (n as u64) >= total => first_live,
             // Sequences are contiguous across the boundary (the table assigns them
@@ -365,48 +326,26 @@ impl StorageBackend for ResidentBackend {
                 }
             }
         };
-        Ok(ScanState::sequence_range(next_seq, end_seq))
-    }
-
-    fn open_scan_bounded(
-        &self,
-        window: WindowSpec,
-        now: Timestamp,
-        bounds: &ScanBounds,
-    ) -> GsnResult<ScanState> {
-        let mut state = self.open_scan(window, now)?;
         // The hybrid cursor is tracked purely by sequence, so primary-key bounds
         // clamp the range before a single resident element is cloned or a cold
         // page is pinned.  Timestamp bounds stay with the executor's re-filter.
-        if let ScanStateInner::Sequence { next_seq, end_seq } = &mut state.0 {
-            if let Some(min_seq) = bounds.min_seq {
-                *next_seq = (*next_seq).max(min_seq);
-            }
-            if let Some(max_seq) = bounds.max_seq {
-                *end_seq = (*end_seq).min(max_seq);
-            }
-            // Sequences are dense inside the live range, so a limit hint turns
-            // into an exact upper sequence bound — but only when no timestamp
-            // bound rides along (those drop rows after the cursor, so capping
-            // here could starve the consumer).
-            if bounds.min_ts.is_none() && bounds.max_ts.is_none() {
-                if let Some(limit) = bounds.limit {
-                    if limit == 0 {
-                        return Ok(ScanState::empty());
-                    }
-                    *end_seq = (*end_seq).min(next_seq.saturating_add(limit - 1));
-                }
-            }
+        if let Some(min_seq) = bounds.min_seq {
+            next_seq = next_seq.max(min_seq);
         }
-        Ok(state)
-    }
-
-    fn open_scan_after(&self, after: u64) -> GsnResult<ScanState> {
-        let end_seq = self.max_sequence();
-        if end_seq <= after {
-            return Ok(ScanState::empty());
+        if let Some(max_seq) = bounds.max_seq {
+            end_seq = end_seq.min(max_seq);
         }
-        Ok(ScanState::sequence_range(after + 1, end_seq))
+        // Sequences are dense inside the live range, so a limit hint turns into an
+        // exact upper sequence bound — but only when no timestamp bound rides along
+        // (those drop rows after the cursor, so capping here could starve the
+        // consumer).
+        if let (Some(limit), None, None) = (bounds.limit, bounds.min_ts, bounds.max_ts) {
+            if limit == 0 {
+                return Ok(ScanState::empty());
+            }
+            end_seq = end_seq.min(next_seq.saturating_add(limit - 1));
+        }
+        Ok(ScanState::sequence_range(next_seq, end_seq))
     }
 
     fn first_sequence(&self) -> GsnResult<Option<u64>> {
@@ -430,27 +369,27 @@ impl StorageBackend for ResidentBackend {
                 }
                 // Cold first: the store's high-water mark moves up as elements spill
                 // between pulls, so this re-check per batch is what makes the cursor
-                // seamless across the boundary.
+                // seamless across the boundary.  The continuation is a raw row range
+                // (sequence `s` ⇔ cold row `s − 1`), not a bounded open: it counts no
+                // index seek.
                 if let Some(cold) = &self.cold {
                     if cold.len() > 0 && cold.max_sequence() >= *next_seq {
-                        let mut sub = cold.open_scan_after(next_seq.saturating_sub(1))?;
-                        if let Some(mut batch) = cold.scan_next(&mut sub)? {
-                            batch.retain(|e| e.sequence() <= *end_seq);
+                        let mut sub = ScanState::rows(*next_seq - 1, *end_seq);
+                        if let Some(batch) = cold.scan_next(&mut sub)? {
                             if let Some(last) = batch.last() {
                                 *next_seq = last.sequence() + 1;
-                                return Ok(Some(batch));
                             }
-                            return Ok(None); // everything left is past the snapshot
+                            return Ok(Some(batch));
                         }
                     }
                 }
                 let start = self.resident.partition_point(|e| e.sequence() < *next_seq);
-                let batch: Vec<StreamElement> = self.resident[start..]
-                    .iter()
-                    .take(RESIDENT_SCAN_BATCH)
-                    .take_while(|e| e.sequence() <= *end_seq)
-                    .cloned()
-                    .collect();
+                let rest = &self.resident[start..];
+                let len = rest
+                    .partition_point(|e| e.sequence() <= *end_seq)
+                    .min(RESIDENT_SCAN_BATCH);
+                // An exact-size copy: the vector's capacity is the batch, never more.
+                let batch: Vec<StreamElement> = rest[..len].to_vec();
                 match batch.last() {
                     Some(last) => {
                         *next_seq = last.sequence() + 1;
@@ -560,13 +499,21 @@ mod tests {
     }
 
     fn values(backend: &dyn StorageBackend, window: WindowSpec, now: Timestamp) -> Vec<i64> {
-        let mut out = Vec::new();
-        backend
-            .scan_window(window, now, &mut |e| {
-                out.push(e.value("V").unwrap().as_integer().unwrap());
-            })
+        let mut state = backend
+            .open_scan(window, now, &ScanBounds::default())
             .unwrap();
-        out
+        drain(backend, &mut state)
+    }
+
+    /// A delta scan: every live row after sequence `after`.
+    fn delta(backend: &dyn StorageBackend, after: u64) -> ScanState {
+        let bounds = ScanBounds {
+            min_seq: Some(after + 1),
+            ..Default::default()
+        };
+        backend
+            .open_scan(WindowSpec::Count(usize::MAX), Timestamp::MAX, &bounds)
+            .unwrap()
     }
 
     fn drain(backend: &dyn StorageBackend, state: &mut ScanState) -> Vec<i64> {
@@ -611,10 +558,11 @@ mod tests {
             WindowSpec::Time(Duration::from_millis(4_999)),
             WindowSpec::Time(Duration::from_millis(50_000)),
         ] {
-            let expected = values(&mem, window, now);
-            assert_eq!(values(&b, window, now), expected, "{window:?} visit");
-            let mut st = b.open_scan(window, now).unwrap();
-            assert_eq!(drain(&b, &mut st), expected, "{window:?} cursor");
+            assert_eq!(
+                values(&b, window, now),
+                values(&mem, window, now),
+                "{window:?}"
+            );
         }
     }
 
@@ -626,7 +574,7 @@ mod tests {
         for i in 1..=200 {
             b.append(&element(&s, i, i, 64)).unwrap();
         }
-        let mut st = b.open_scan_after(0).unwrap();
+        let mut st = delta(&b, 0);
         // Pull one batch (from the cold store), then keep appending — which spills
         // formerly-resident rows the cursor has not read yet.
         let first = b.scan_next(&mut st).unwrap().unwrap();
@@ -642,7 +590,7 @@ mod tests {
         // The snapshot bound is 200; every one of those rows arrives exactly once.
         assert_eq!(got, (1..=200).collect::<Vec<i64>>());
         // A fresh delta scan sees the newer rows.
-        let mut st = b.open_scan_after(200).unwrap();
+        let mut st = delta(&b, 200);
         assert_eq!(drain(&b, &mut st), (201..=400).collect::<Vec<i64>>());
     }
 

@@ -231,34 +231,6 @@ impl StreamTable {
         }
     }
 
-    /// Returns the elements selected by `window` when evaluated at `now`.
-    ///
-    /// Persistent tables read through the buffer pool, so I/O or corruption can fail.
-    pub fn try_window_view(
-        &self,
-        window: WindowSpec,
-        now: Timestamp,
-    ) -> GsnResult<Vec<StreamElement>> {
-        let mut out = Vec::new();
-        self.backend.scan_window(window, now, &mut |e| {
-            out.push(e.clone());
-        })?;
-        Ok(out)
-    }
-
-    /// Infallible convenience over [`try_window_view`](Self::try_window_view): panics on
-    /// a storage error (in-memory tables cannot fail; persistent tables only fail on
-    /// I/O errors or corruption).
-    pub fn window_view(&self, window: WindowSpec, now: Timestamp) -> Vec<StreamElement> {
-        self.try_window_view(window, now)
-            .expect("storage scan failed")
-    }
-
-    /// Returns every retained element (oldest first).
-    pub fn all(&self) -> Vec<StreamElement> {
-        self.window_view(WindowSpec::Count(usize::MAX), Timestamp::MAX)
-    }
-
     /// The most recently inserted element, if any.
     pub fn latest(&self) -> Option<StreamElement> {
         self.backend.last()
@@ -269,45 +241,51 @@ impl StreamTable {
         self.backend.retained_bytes()
     }
 
-    /// Streams the window selected at `now` through `visit`, oldest first, without
-    /// materialising a vector — persistent tables read through their buffer pool.
-    pub fn scan_window(
-        &self,
-        window: WindowSpec,
-        now: Timestamp,
-        visit: &mut dyn FnMut(&StreamElement),
-    ) -> GsnResult<()> {
-        self.backend.scan_window(window, now, visit)
-    }
-
-    /// Begins a pull-based scan of the window selected at `now`, oldest first.
+    /// Begins a pull-based scan of the window selected at `now`, oldest first, narrowed
+    /// by pushed-down [`ScanBounds`] — the one way to read a table (see
+    /// [`StorageBackend::open_scan`]; a delta read after sequence `s` is
+    /// `Count(usize::MAX)` with `min_seq = s + 1`).  Bounds are a superset contract:
+    /// the backend may return rows outside them (page granularity), so callers must
+    /// still re-apply any residual predicate row-wise.
     ///
     /// The returned state holds no lock: advance it with [`scan_next`](Self::scan_next),
     /// which re-enters the table per batch.  Persistent tables pin one buffer-pool page
     /// per batch, so a consumer that stops pulling (a `LIMIT` query) leaves the rest of
     /// the heap unread.
-    pub fn open_scan(&self, window: WindowSpec, now: Timestamp) -> GsnResult<ScanState> {
-        self.backend.open_scan(window, now)
-    }
-
-    /// Begins a pull-based scan like [`open_scan`](Self::open_scan), but hands the backend
-    /// a set of [`ScanBounds`] so it can seek past non-qualifying segments and pages using
-    /// the per-segment sparse index instead of decoding the whole window.  Bounds are a
-    /// superset contract: the backend may return rows outside them (page granularity), so
-    /// callers must still re-apply any residual predicate row-wise.
-    pub fn open_scan_bounded(
+    pub fn open_scan(
         &self,
         window: WindowSpec,
         now: Timestamp,
         bounds: &ScanBounds,
     ) -> GsnResult<ScanState> {
-        self.backend.open_scan_bounded(window, now, bounds)
+        self.backend.open_scan(window, now, bounds)
     }
 
     /// Pulls the next batch of a scan started with [`open_scan`](Self::open_scan);
     /// `None` once exhausted.
     pub fn scan_next(&self, state: &mut ScanState) -> GsnResult<Option<Vec<StreamElement>>> {
         self.backend.scan_next(state)
+    }
+
+    /// Drains a scan into a vector: the elements `window` selects at `now` (and
+    /// `bounds` admit, as a superset), oldest first.  Persistent tables read through
+    /// the buffer pool, so an I/O error or a corrupt page surfaces as an error.
+    pub fn scan(
+        &self,
+        window: WindowSpec,
+        now: Timestamp,
+        bounds: &ScanBounds,
+    ) -> GsnResult<Vec<StreamElement>> {
+        let mut state = self.open_scan(window, now, bounds)?;
+        let mut out = Vec::new();
+        while let Some(batch) = self.scan_next(&mut state)? {
+            if out.is_empty() {
+                out = batch; // the common one-batch window moves, not copies
+            } else {
+                out.extend(batch);
+            }
+        }
+        Ok(out)
     }
 
     /// The highest sequence number assigned so far (0 when nothing was ever inserted).
@@ -318,57 +296,6 @@ impl StreamTable {
     /// Sequence number of the oldest retained element, `None` when empty.
     pub fn first_live_sequence(&self) -> GsnResult<Option<u64>> {
         self.backend.first_sequence()
-    }
-
-    /// Begins a pull-based *delta* scan: every retained element with sequence strictly
-    /// greater than `after`, oldest first.  Registered continuous queries resume here
-    /// from their last-seen sequence, so each new stream element costs one delta read
-    /// instead of a full history-window scan.  Advance with
-    /// [`scan_next`](Self::scan_next).
-    pub fn open_delta_scan(&self, after: u64) -> GsnResult<ScanState> {
-        self.backend.open_scan_after(after)
-    }
-
-    /// Materialises a windowed view as a SQL relation named `alias`, exposing the implicit
-    /// `PK` and `TIMED` columns (step 2 of the paper's processing pipeline).  Rows stream
-    /// directly from the storage backend into the relation; a storage error surfaces
-    /// instead of silently producing a truncated relation.
-    pub fn window_relation(
-        &self,
-        alias: &str,
-        window: WindowSpec,
-        now: Timestamp,
-    ) -> GsnResult<gsn_sql::Relation> {
-        let mut relation = gsn_sql::Relation::for_stream_schema(alias, &self.schema);
-        self.backend.scan_window(window, now, &mut |e| {
-            relation.push_stream_element(e);
-        })?;
-        Ok(relation)
-    }
-
-    /// Applies a uniform sampling rate in `[0, 1]`: evaluates the windowed view and keeps
-    /// approximately `rate` of its elements, deterministically by sequence number so that
-    /// repeated evaluations agree.  GSN supports "sampling of data streams in order to
-    /// reduce the data rate" (Section 3).
-    pub fn sampled_window_relation(
-        &self,
-        alias: &str,
-        window: WindowSpec,
-        now: Timestamp,
-        rate: f64,
-    ) -> GsnResult<gsn_sql::Relation> {
-        let Some(keep_every) = sampling_stride(rate) else {
-            return self.window_relation(alias, window, now);
-        };
-        let mut relation = gsn_sql::Relation::for_stream_schema(alias, &self.schema);
-        if keep_every != usize::MAX {
-            self.backend.scan_window(window, now, &mut |e| {
-                if (e.sequence() as usize).is_multiple_of(keep_every) {
-                    relation.push_stream_element(e);
-                }
-            })?;
-        }
-        Ok(relation)
     }
 
     /// Convenience helper used heavily by tests and benchmarks: builds and inserts an
@@ -422,9 +349,8 @@ impl StreamTable {
 }
 
 /// Maps a uniform sampling rate to the keep-every-nth sequence stride shared by the
-/// materialising ([`StreamTable::sampled_window_relation`]), cursor
-/// ([`crate::StreamCursor`]) and incremental continuous-query scan paths, so all of
-/// them thin a window identically: `None` keeps everything, `Some(usize::MAX)` keeps
+/// cursor ([`crate::StreamCursor`]) and incremental continuous-query scan paths, so
+/// both thin a window identically: `None` keeps everything, `Some(usize::MAX)` keeps
 /// nothing.
 pub fn sampling_stride(rate: f64) -> Option<usize> {
     if rate >= 1.0 {
@@ -457,6 +383,22 @@ mod tests {
             ])
             .unwrap(),
         )
+    }
+
+    /// The window as SQL-shaped rows (`PK`, `TIMED`, fields), through the cursor the
+    /// executor reads, with optional sampling.
+    fn rows(
+        table: &Arc<parking_lot::RwLock<StreamTable>>,
+        window: WindowSpec,
+        now: Timestamp,
+        sampling: Option<f64>,
+    ) -> Vec<Vec<Value>> {
+        use gsn_sql::RowSource;
+        crate::StreamCursor::open(Arc::clone(table), "w", window, now, sampling)
+            .unwrap()
+            .collect()
+            .unwrap()
+            .into_rows()
     }
 
     fn fill(table: &mut StreamTable, n: usize, step_ms: i64) {
@@ -504,7 +446,14 @@ mod tests {
         let mut t = StreamTable::new("motes", schema(), Retention::Elements(3));
         fill(&mut t, 10, 100);
         assert_eq!(t.len(), 3);
-        assert_eq!(t.all()[0].value("TEMPERATURE"), Some(Value::Integer(27)));
+        let all = t
+            .scan(
+                WindowSpec::Count(usize::MAX),
+                Timestamp::MAX,
+                &ScanBounds::default(),
+            )
+            .unwrap();
+        assert_eq!(all[0].value("TEMPERATURE"), Some(Value::Integer(27)));
         assert_eq!(t.stats().inserted, 10);
         assert_eq!(t.stats().pruned, 7);
     }
@@ -571,53 +520,10 @@ mod tests {
         let mut t = StreamTable::permanent("motes", schema());
         fill(&mut t, 10, 100);
         let now = Timestamp(1_000);
-        assert_eq!(t.window_view(WindowSpec::Count(4), now).len(), 4);
-        assert_eq!(
-            t.window_view(WindowSpec::Time(Duration::from_millis(299)), now)
-                .len(),
-            3
-        );
-        assert_eq!(t.window_view(WindowSpec::LatestOnly, now).len(), 1);
-    }
-
-    #[test]
-    fn window_relation_is_queryable() {
-        let mut t = StreamTable::permanent("motes", schema());
-        fill(&mut t, 5, 100);
-        let rel = t
-            .window_relation("src1", WindowSpec::Count(3), Timestamp(500))
-            .unwrap();
-        assert_eq!(rel.row_count(), 3);
-        assert_eq!(rel.column_count(), 4); // PK, TIMED, TEMPERATURE, ROOM
-        let mut catalog = gsn_sql::MemoryCatalog::new();
-        catalog.register("src1", rel);
-        let mut engine = gsn_sql::SqlEngine::new();
-        let avg = engine
-            .execute_scalar("select avg(temperature) from src1", &catalog)
-            .unwrap();
-        assert_eq!(avg, Value::Double(23.0)); // 22, 23, 24
-    }
-
-    #[test]
-    fn sampled_window_relation_reduces_rows() {
-        let mut t = StreamTable::permanent("motes", schema());
-        fill(&mut t, 100, 10);
-        let full = t
-            .sampled_window_relation("s", WindowSpec::Count(100), Timestamp(1_000), 1.0)
-            .unwrap();
-        assert_eq!(full.row_count(), 100);
-        let half = t
-            .sampled_window_relation("s", WindowSpec::Count(100), Timestamp(1_000), 0.5)
-            .unwrap();
-        assert_eq!(half.row_count(), 50);
-        let tenth = t
-            .sampled_window_relation("s", WindowSpec::Count(100), Timestamp(1_000), 0.1)
-            .unwrap();
-        assert_eq!(tenth.row_count(), 10);
-        let none = t
-            .sampled_window_relation("s", WindowSpec::Count(100), Timestamp(1_000), 0.0)
-            .unwrap();
-        assert_eq!(none.row_count(), 0);
+        let len = |window| t.scan(window, now, &ScanBounds::default()).unwrap().len();
+        assert_eq!(len(WindowSpec::Count(4)), 4);
+        assert_eq!(len(WindowSpec::Time(Duration::from_millis(299))), 3);
+        assert_eq!(len(WindowSpec::LatestOnly), 1);
     }
 
     #[test]
@@ -681,7 +587,7 @@ mod tests {
     }
 
     #[test]
-    fn persistent_window_relation_matches_memory_semantics() {
+    fn persistent_windows_match_memory_semantics() {
         let dir = crate::testutil::temp_dir("table-windows");
         let mut mem = StreamTable::permanent("m", schema());
         let mut per = StreamTable::persistent(
@@ -698,24 +604,24 @@ mod tests {
         .unwrap();
         fill(&mut mem, 200, 10);
         fill(&mut per, 200, 10);
+        let mem = Arc::new(parking_lot::RwLock::new(mem));
+        let per = Arc::new(parking_lot::RwLock::new(per));
         let now = Timestamp(2_000);
-        for window in [
-            WindowSpec::Count(7),
-            WindowSpec::Count(500),
-            WindowSpec::LatestOnly,
-            WindowSpec::Time(Duration::from_millis(555)),
+        for (window, sampling) in [
+            (WindowSpec::Count(7), None),
+            (WindowSpec::Count(500), None),
+            (WindowSpec::LatestOnly, None),
+            (WindowSpec::Time(Duration::from_millis(555)), None),
+            (WindowSpec::Count(100), Some(0.25)),
         ] {
-            let a = mem.window_relation("w", window, now).unwrap();
-            let b = per.window_relation("w", window, now).unwrap();
-            assert_eq!(a.rows(), b.rows(), "window {window:?}");
+            let a = rows(&mem, window, now, sampling);
+            assert!(!a.is_empty());
+            assert_eq!(
+                a,
+                rows(&per, window, now, sampling),
+                "window {window:?}, sampling {sampling:?}"
+            );
         }
-        let a = mem
-            .sampled_window_relation("w", WindowSpec::Count(100), now, 0.25)
-            .unwrap();
-        let b = per
-            .sampled_window_relation("w", WindowSpec::Count(100), now, 0.25)
-            .unwrap();
-        assert_eq!(a.rows(), b.rows());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use std::fmt;
 
-use gsn_types::{Duration, GsnError, GsnResult, StreamElement, Timestamp};
+use gsn_types::{Duration, GsnError, GsnResult};
 
 /// A window over a data stream, anchored at evaluation time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,36 +60,6 @@ impl WindowSpec {
             WindowSpec::Time(d) => d.to_string(),
             WindowSpec::Count(n) => n.to_string(),
             WindowSpec::LatestOnly => "1".to_owned(),
-        }
-    }
-
-    /// Selects the elements of `elements` (ordered oldest→newest) that fall inside the
-    /// window when evaluated at `now`.
-    ///
-    /// The returned slice preserves arrival order, which downstream SQL relies on for
-    /// `FIRST`/`LAST` aggregates and deterministic results.
-    pub fn select<'a>(&self, elements: &'a [StreamElement], now: Timestamp) -> &'a [StreamElement] {
-        match self {
-            WindowSpec::LatestOnly => {
-                if elements.is_empty() {
-                    elements
-                } else {
-                    &elements[elements.len() - 1..]
-                }
-            }
-            WindowSpec::Count(n) => {
-                let start = elements.len().saturating_sub(*n);
-                &elements[start..]
-            }
-            WindowSpec::Time(d) => {
-                let cutoff = now.saturating_sub(*d);
-                // Elements are stored in arrival order; timestamps are expected to be
-                // non-decreasing (the ISM timestamps arrivals), so a partition point is
-                // enough.  Out-of-order producer timestamps degrade gracefully: we scan
-                // from the first in-window element.
-                let start = elements.partition_point(|e| e.timestamp() < cutoff);
-                &elements[start..]
-            }
         }
     }
 
@@ -167,25 +137,6 @@ fn Mixed(n: usize, d: Duration) -> Retention {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gsn_types::{DataType, StreamSchema, Value};
-    use std::sync::Arc;
-
-    fn elements(timestamps: &[i64]) -> Vec<StreamElement> {
-        let schema = Arc::new(StreamSchema::from_pairs(&[("v", DataType::Integer)]).unwrap());
-        timestamps
-            .iter()
-            .enumerate()
-            .map(|(i, ts)| {
-                StreamElement::new(
-                    schema.clone(),
-                    vec![Value::Integer(i as i64)],
-                    Timestamp(*ts),
-                )
-                .unwrap()
-                .with_sequence(i as u64 + 1)
-            })
-            .collect()
-    }
 
     #[test]
     fn parse_accepts_counts_and_durations() {
@@ -222,59 +173,6 @@ mod tests {
             assert_eq!(WindowSpec::parse(&w.to_spec_string()).unwrap(), w);
         }
         assert_eq!(WindowSpec::LatestOnly.to_spec_string(), "1");
-    }
-
-    #[test]
-    fn count_window_selects_most_recent() {
-        let els = elements(&[10, 20, 30, 40, 50]);
-        let w = WindowSpec::Count(2);
-        let selected = w.select(&els, Timestamp(1_000));
-        assert_eq!(selected.len(), 2);
-        assert_eq!(selected[0].timestamp(), Timestamp(40));
-        assert_eq!(selected[1].timestamp(), Timestamp(50));
-
-        let w = WindowSpec::Count(10);
-        assert_eq!(w.select(&els, Timestamp(1_000)).len(), 5);
-    }
-
-    #[test]
-    fn time_window_selects_by_cutoff() {
-        let els = elements(&[0, 100, 200, 300, 400]);
-        let w = WindowSpec::Time(Duration::from_millis(150));
-        let selected = w.select(&els, Timestamp(400));
-        // cutoff = 250, keeps 300 and 400
-        assert_eq!(selected.len(), 2);
-        assert_eq!(selected[0].timestamp(), Timestamp(300));
-
-        // A window wider than the data keeps everything.
-        let w = WindowSpec::Time(Duration::from_secs(10));
-        assert_eq!(w.select(&els, Timestamp(400)).len(), 5);
-
-        // Boundary is inclusive.
-        let w = WindowSpec::Time(Duration::from_millis(100));
-        let selected = w.select(&els, Timestamp(400));
-        assert_eq!(selected.len(), 2);
-    }
-
-    #[test]
-    fn latest_only_window() {
-        let els = elements(&[1, 2, 3]);
-        let w = WindowSpec::LatestOnly;
-        let selected = w.select(&els, Timestamp(100));
-        assert_eq!(selected.len(), 1);
-        assert_eq!(selected[0].timestamp(), Timestamp(3));
-        assert!(w.select(&[], Timestamp(0)).is_empty());
-    }
-
-    #[test]
-    fn empty_input_selects_nothing() {
-        for w in [
-            WindowSpec::Count(5),
-            WindowSpec::Time(Duration::from_secs(1)),
-            WindowSpec::LatestOnly,
-        ] {
-            assert!(w.select(&[], Timestamp(100)).is_empty());
-        }
     }
 
     #[test]

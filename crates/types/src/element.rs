@@ -96,6 +96,11 @@ impl StreamElement {
         &self.values
     }
 
+    /// Consumes the element, returning its field values in schema order.
+    pub fn into_values(self) -> Vec<Value> {
+        self.values
+    }
+
     /// The primary (`TIMED`) timestamp.
     pub fn timestamp(&self) -> Timestamp {
         self.timestamp

@@ -8,8 +8,8 @@ use std::sync::Arc;
 use gsn::container::ContainerConfig;
 use gsn::storage::testutil::wal_set;
 use gsn::storage::{
-    Page, PageIo, PersistentOptions, Retention, SharedBufferPool, StorageManager, StorageOptions,
-    StreamTable, SyncMode, WindowSpec,
+    CatalogView, LiveCatalog, Page, PageIo, PersistentOptions, Retention, ScanBounds,
+    SharedBufferPool, StorageManager, StorageOptions, StreamTable, SyncMode, WindowSpec,
 };
 use gsn::types::{
     codec, DataType, Duration, SimulatedClock, StreamElement, StreamSchema, Timestamp, Value,
@@ -19,6 +19,35 @@ use gsn::{GsnContainer, GsnError, GsnResult};
 use proptest::prelude::*;
 
 static DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
+
+/// Reads `window` at `now` with `bounds`, as `(PK, TIMED, values)` rows.
+fn read(
+    table: &StreamTable,
+    window: WindowSpec,
+    now: Timestamp,
+    bounds: &ScanBounds,
+) -> Vec<(u64, Timestamp, Vec<Value>)> {
+    table
+        .scan(window, now, bounds)
+        .unwrap()
+        .iter()
+        .map(|e| (e.sequence(), e.timestamp(), e.values().to_vec()))
+        .collect()
+}
+
+/// Every retained element's `V`, oldest first.
+fn all_v(table: &StreamTable) -> Vec<i64> {
+    table
+        .scan(
+            WindowSpec::Count(usize::MAX),
+            Timestamp::MAX,
+            &ScanBounds::default(),
+        )
+        .unwrap()
+        .iter()
+        .map(|e| e.value("V").unwrap().as_integer().unwrap())
+        .collect()
+}
 
 fn temp_dir(tag: &str) -> PathBuf {
     let n = DIR_COUNTER.fetch_add(1, Ordering::Relaxed);
@@ -301,9 +330,10 @@ proptest! {
             WindowSpec::LatestOnly,
             WindowSpec::Time(Duration::from_millis(span)),
         ] {
-            let a = mem.window_relation("w", window, now).unwrap();
-            let b = per.window_relation("w", window, now).unwrap();
-            prop_assert_eq!(a.rows(), b.rows(), "window {:?}", window);
+            let bounds = ScanBounds::default();
+            let a = read(&mem, window, now, &bounds);
+            prop_assert!(!a.is_empty());
+            prop_assert_eq!(a, read(&per, window, now, &bounds), "window {:?}", window);
         }
         if let Some(pool) = per.pool_stats() {
             prop_assert!(pool.resident_pages <= pool_pages);
@@ -446,32 +476,26 @@ fn restart_survives_stale_and_missing_index_sidecars() {
         )
         .unwrap();
         assert_eq!(table.last_sequence(), 2_000);
-        let recovered: Vec<i64> = table
-            .window_view(WindowSpec::Count(usize::MAX), Timestamp::MAX)
-            .iter()
-            .map(|e| e.value("V").unwrap().as_integer().unwrap())
-            .collect();
         assert_eq!(
-            recovered,
+            all_v(&table),
             (1..=2_000).collect::<Vec<i64>>(),
             "stale/missing sidecars must not change the recovered history"
         );
         // Index-bounded scans still work against the rebuilt in-memory index.
-        let mut scan = table
-            .open_scan_bounded(
-                WindowSpec::Count(usize::MAX),
-                Timestamp::MAX,
-                &gsn::storage::ScanBounds {
-                    min_seq: Some(1_500),
-                    max_seq: Some(1_510),
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-        let mut bounded = Vec::new();
-        while let Some(batch) = table.scan_next(&mut scan).unwrap() {
-            bounded.extend(batch.iter().map(|e| e.sequence()));
-        }
+        let bounds = ScanBounds {
+            min_seq: Some(1_500),
+            max_seq: Some(1_510),
+            ..Default::default()
+        };
+        let bounded: Vec<u64> = read(
+            &table,
+            WindowSpec::Count(usize::MAX),
+            Timestamp::MAX,
+            &bounds,
+        )
+        .iter()
+        .map(|row| row.0)
+        .collect();
         assert_eq!(bounded, (1_500..=1_510).collect::<Vec<u64>>());
     } // checkpoint again: the stale and missing sidecars are rewritten
 
@@ -545,27 +569,26 @@ fn restart_recovers_across_a_segment_truncation_boundary() {
     .unwrap();
     assert_eq!(table.last_sequence(), 2_000);
     assert_eq!(table.first_live_sequence().unwrap(), Some(oldest_live));
-    let recovered: Vec<i64> = table
-        .window_view(WindowSpec::Count(usize::MAX), Timestamp::MAX)
-        .iter()
-        .map(|e| e.value("V").unwrap().as_integer().unwrap())
-        .collect();
     assert_eq!(
-        recovered,
+        all_v(&table),
         (oldest_live as i64..=2_000).collect::<Vec<i64>>(),
         "recovered history must be the exact surviving suffix"
     );
     // Delta cursors resume with the exact sequence→row mapping after the restart.
-    let mut scan = table.open_delta_scan(1_990).unwrap();
-    let mut resumed = Vec::new();
-    while let Some(batch) = table.scan_next(&mut scan).unwrap() {
-        resumed.extend(
-            batch
-                .iter()
-                .map(|e| e.value("V").unwrap().as_integer().unwrap()),
-        );
-    }
-    assert_eq!(resumed, (1_991..=2_000).collect::<Vec<i64>>());
+    let after = ScanBounds {
+        min_seq: Some(1_991),
+        ..Default::default()
+    };
+    let resumed: Vec<u64> = read(
+        &table,
+        WindowSpec::Count(usize::MAX),
+        Timestamp::MAX,
+        &after,
+    )
+    .iter()
+    .map(|row| row.0)
+    .collect();
+    assert_eq!(resumed, (1_991..=2_000).collect::<Vec<u64>>());
     // And ingest continues the numbering.
     let e = table
         .insert_values(vec![Value::Integer(2_001)], Timestamp(2_001))
@@ -634,15 +657,11 @@ fn bounded_pool_serves_table_larger_than_memory_budget() {
     );
 
     // Windowed SQL over the whole table and over a tail slice, through the catalog path.
-    let catalog = storage
-        .windowed_catalog(
-            &[
-                gsn::storage::CatalogView::new("all_rows", "big", WindowSpec::Count(usize::MAX)),
-                gsn::storage::CatalogView::new("tail", "big", WindowSpec::Count(1_000)),
-            ],
-            Timestamp(total),
-        )
-        .unwrap();
+    let views = [
+        CatalogView::new("all_rows", "big", WindowSpec::Count(usize::MAX)),
+        CatalogView::new("tail", "big", WindowSpec::Count(1_000)),
+    ];
+    let catalog = LiveCatalog::new(&storage, &views, Timestamp(total));
     let mut engine = gsn::sql::SqlEngine::new();
     let n = engine
         .execute_scalar("select count(*) from all_rows", &catalog)
@@ -867,12 +886,15 @@ fn wal_crash_replay_recovers_every_row_at_1_and_4_shards() {
             let table = storage
                 .create_table_durable(name, Arc::clone(&schema), Retention::Unbounded)
                 .unwrap();
-            let recovered: Vec<(u64, i64)> = table
-                .read()
-                .all()
-                .iter()
-                .map(|e| (e.sequence(), e.value("V").unwrap().as_integer().unwrap()))
-                .collect();
+            let recovered: Vec<(u64, i64)> = read(
+                &table.read(),
+                WindowSpec::Count(usize::MAX),
+                Timestamp::MAX,
+                &ScanBounds::default(),
+            )
+            .iter()
+            .map(|(seq, _, values)| (*seq, values[0].as_integer().unwrap()))
+            .collect();
             let inserted: Vec<(u64, i64)> = (0..rows_per_table)
                 .map(|i| (i as u64 + 1, value(t, i)))
                 .collect();
@@ -949,5 +971,63 @@ fn corrupt_segment_schema_count_is_a_storage_error() {
         .unwrap_err();
     assert!(matches!(err, GsnError::Storage(_)), "{err:?}");
     drop(storage);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A page that goes bad on disk while its table is open surfaces as a storage error on
+/// the next read — the table's read helper must not panic its caller.
+#[test]
+fn corrupt_chunk_tag_on_a_flushed_page_is_a_storage_error() {
+    let dir = temp_dir("corrupt-chunk");
+    let schema = Arc::new(
+        StreamSchema::from_pairs(&[("v", DataType::Integer), ("payload", DataType::Binary)])
+            .unwrap(),
+    );
+    let mut table = StreamTable::persistent(
+        "chunks",
+        Arc::clone(&schema),
+        Retention::Unbounded,
+        &dir,
+        wal_set(&dir),
+        PersistentOptions {
+            pool_pages: 2,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    for i in 1..=200 {
+        table
+            .insert_values(
+                vec![Value::Integer(i), Value::binary(vec![7u8; 512])],
+                Timestamp(i),
+            )
+            .unwrap();
+    }
+    table.flush().unwrap();
+    // ~15 pages through a 2-frame pool: the head page is on disk and out of the pool.
+    let mut segments: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "seg"))
+        .collect();
+    segments.sort();
+    // Page 0 of the head segment follows the one-page header; its first record starts
+    // after the 4-byte page header, and that record's first byte is its chunk tag.
+    let tag_offset = gsn::storage::PAGE_SIZE + 4;
+    let mut bytes = std::fs::read(&segments[0]).unwrap();
+    assert_eq!(bytes[tag_offset], 0, "expected a whole-row chunk tag");
+    bytes[tag_offset] = 0x7f;
+    std::fs::write(&segments[0], bytes).unwrap();
+
+    let err = table
+        .scan(
+            WindowSpec::Count(usize::MAX),
+            Timestamp::MAX,
+            &ScanBounds::default(),
+        )
+        .unwrap_err();
+    assert!(matches!(err, GsnError::Storage(_)), "{err:?}");
+    assert!(err.to_string().contains("corrupt chunk tag"), "{err}");
+    drop(table);
     std::fs::remove_dir_all(&dir).ok();
 }
