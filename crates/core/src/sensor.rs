@@ -651,6 +651,32 @@ mod tests {
         assert_eq!(vs.source_quality()[0].2.locally_timestamped, 3);
     }
 
+    /// A source query reads its own window only: one naming another table, directly or
+    /// in a subquery, does not deploy even when that table exists.
+    #[test]
+    fn source_queries_reading_other_tables_do_not_deploy() {
+        let storage = StorageManager::new();
+        deploy(mote_descriptor("room-temp", 100), &storage);
+        for query in [
+            "select avg(temp) as avg_temp from room_temp",
+            "select avg(temperature) as avg_temp from wrapper \
+             where temperature > (select min(avg_temp) from room_temp)",
+        ] {
+            let mut descriptor = mote_descriptor("reader", 100);
+            descriptor.input_streams[0].sources[0].query = query.to_owned();
+            let err = VirtualSensor::deploy(
+                descriptor,
+                &WrapperRegistry::with_builtins(),
+                &storage,
+                |_| Err(GsnError::not_found("no remote resolution in this test")),
+                Timestamp::EPOCH,
+            )
+            .unwrap_err();
+            assert!(err.to_string().contains("room_temp"), "{query}: {err}");
+        }
+        assert!(!storage.has_table("reader"));
+    }
+
     /// Pins what a multi-row output query emits today: `to_stream_element` keeps row 0
     /// only, so `select *` over a `Count(5)` window emits the window's *oldest* row on
     /// every arrival (scan order is oldest first).
@@ -690,6 +716,104 @@ mod tests {
             emitted.push(out.value("TEMPERATURE").unwrap().as_integer().unwrap());
         }
         assert_eq!(emitted, vec![1, 1, 1, 1, 1, 2, 3, 4]);
+    }
+
+    /// A spilled time window across pauses longer than the window (one before anything
+    /// spilled, one that expires every spilled row): the deployed sensor's outputs, its
+    /// source table's scans and a `LiveCatalog` query all equal a memory-only twin's.
+    #[test]
+    fn spilled_source_window_across_pauses_matches_memory() {
+        use gsn_storage::{PersistentOptions, ScanBounds, StorageOptions, WindowSpec};
+        let window = WindowSpec::Time(gsn_types::Duration::from_millis(500));
+        let descriptor = VirtualSensorDescriptor::builder("paused")
+            .unwrap()
+            .output_field("n", DataType::Integer)
+            .unwrap()
+            .output_field("lo", DataType::Integer)
+            .unwrap()
+            .input_stream(
+                InputStreamSpec::new("main", "select * from src1").with_source(
+                    StreamSourceSpec::new(
+                        "src1",
+                        AddressSpec::new("push")
+                            .with_predicate("channel", "paused-feed")
+                            .with_predicate("field-1", "v")
+                            .with_predicate("type-1", "integer")
+                            .with_predicate("field-2", "payload")
+                            .with_predicate("type-2", "binary"),
+                        "select count(*) as n, min(v) as lo from wrapper",
+                    )
+                    .with_window(window),
+                ),
+            )
+            .build()
+            .unwrap();
+        let memory = StorageManager::new();
+        let spilled = StorageManager::with_options(StorageOptions {
+            data_dir: Some(gsn_storage::testutil::temp_dir("sensor-spill-pause")),
+            persistent: PersistentOptions {
+                pool_pages: 4,
+                segment_pages: 2,
+                ..Default::default()
+            },
+            window_spill_bytes: Some(2 * 1024),
+            ..Default::default()
+        });
+        let mut sensors = [
+            deploy(descriptor.clone(), &memory),
+            deploy(descriptor, &spilled),
+        ];
+        let source = VirtualSensor::source_table_name(&sensors[0].descriptor().name, "src1");
+        let schema = Arc::new(
+            StreamSchema::from_pairs(&[("v", DataType::Integer), ("payload", DataType::Binary)])
+                .unwrap(),
+        );
+        let views = [CatalogView::new("w", &source, WindowSpec::Count(40))];
+        let mut sql = SqlEngine::new();
+        let mut ts = 0;
+        for v in 1..=300i64 {
+            ts += if v == 11 || v == 201 { 10_000 } else { 10 };
+            let now = Timestamp(ts);
+            let e = StreamElement::new(
+                schema.clone(),
+                vec![Value::Integer(v), Value::binary(vec![0u8; 100])],
+                now,
+            )
+            .unwrap();
+            let reads: Vec<_> = sensors
+                .iter_mut()
+                .zip([&memory, &spilled])
+                .map(|(vs, storage)| {
+                    let out = vs.process_arrival((0, 0), e.clone(), now, storage).unwrap();
+                    let scanned: Vec<(u64, Value)> = storage
+                        .table(&source)
+                        .unwrap()
+                        .read()
+                        .scan(window, now, &ScanBounds::default())
+                        .unwrap()
+                        .iter()
+                        .map(|e| (e.sequence(), e.value("V").unwrap()))
+                        .collect();
+                    let live = sql
+                        .execute(
+                            "select count(*), min(v), max(pk) from w",
+                            &LiveCatalog::new(storage, &views, now),
+                        )
+                        .unwrap();
+                    (
+                        out.unwrap().values().to_vec(),
+                        scanned,
+                        live.rows().to_vec(),
+                    )
+                })
+                .collect();
+            assert_eq!(reads[0], reads[1], "arrival {v}");
+        }
+        let stats = spilled.stats();
+        assert!(
+            stats.spill_migrations > 2,
+            "the window must spill repeatedly: {stats:?}"
+        );
     }
 
     #[test]

@@ -25,6 +25,65 @@ pub struct Query {
     pub offset: Option<u64>,
 }
 
+impl Query {
+    /// Every base table the query names, lower-cased, including those read by derived
+    /// tables and by subqueries inside expressions (which
+    /// [`LogicalPlan::referenced_tables`](crate::LogicalPlan::referenced_tables) leaves
+    /// to the executor).
+    pub fn tables(&self) -> Vec<String> {
+        let mut out = Vec::new();
+        self.collect_tables(&mut out);
+        out
+    }
+
+    fn collect_tables(&self, out: &mut Vec<String>) {
+        let mut exprs: Vec<&Expr> = self.order_by.iter().map(|o| &o.expr).collect();
+        for body in std::iter::once(&self.body).chain(self.set_ops.iter().map(|(_, _, b)| b)) {
+            for item in &body.projection {
+                if let SelectItem::Expr { expr, .. } = item {
+                    exprs.push(expr);
+                }
+            }
+            exprs.extend(
+                body.selection
+                    .iter()
+                    .chain(&body.group_by)
+                    .chain(&body.having),
+            );
+            for from in &body.from {
+                for factor in
+                    std::iter::once(&from.relation).chain(from.joins.iter().map(|j| &j.relation))
+                {
+                    match factor {
+                        TableFactor::Table { name, .. } => {
+                            let lowered = name.to_ascii_lowercase();
+                            if !out.contains(&lowered) {
+                                out.push(lowered);
+                            }
+                        }
+                        TableFactor::Derived { subquery, .. } => subquery.collect_tables(out),
+                    }
+                }
+                for join in &from.joins {
+                    if let JoinOperator::Inner(on) | JoinOperator::LeftOuter(on) =
+                        &join.join_operator
+                    {
+                        exprs.push(on);
+                    }
+                }
+            }
+        }
+        for expr in exprs {
+            expr.visit(&mut |e| match e {
+                Expr::InSubquery { subquery, .. }
+                | Expr::Exists { subquery, .. }
+                | Expr::ScalarSubquery(subquery) => subquery.collect_tables(out),
+                _ => {}
+            });
+        }
+    }
+}
+
 /// Set operators combining SELECT bodies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SetOperator {
@@ -584,6 +643,21 @@ mod tests {
             args: vec![Expr::col("t")],
         };
         assert!(!scalar_fn.contains_aggregate());
+    }
+
+    #[test]
+    fn query_tables_include_every_subquery() {
+        let q = crate::parse_query(
+            "select a, (select max(b) from Scalar) from T \
+             join (select * from derived) d on d.x in (select x from on_in) \
+             where exists (select 1 from exists_t) \
+             union select 1 from u where 1 in (select y from T)",
+        )
+        .unwrap();
+        assert_eq!(
+            q.tables(),
+            vec!["t", "derived", "u", "scalar", "exists_t", "on_in"]
+        );
     }
 
     #[test]

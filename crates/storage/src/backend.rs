@@ -42,8 +42,8 @@
 //! sequence.  Rows that reached disk through an evicted dirty page are therefore never
 //! duplicated, and rows that only made it to the log are never lost.  Segment headers
 //! record each segment's `first_row`, so the global row numbering — and with it the
-//! exact sequence→row mapping (`sequence s` ⇔ `global row s − 1`) — survives head
-//! deletion and compaction.
+//! exact sequence→row mapping (`sequence s` ⇔ `global row s − 1` in a durable table;
+//! see `Inner::rows_of` for cache stores) — survives head deletion and compaction.
 //!
 //! ### Pruning and reclamation
 //!
@@ -224,10 +224,9 @@ impl ScanState {
         ScanState(ScanStateInner::Sequence { next_seq, end_seq })
     }
 
-    /// A page scan over the global rows `[next_row, end_row)` (sequence `s` ⇔ row
-    /// `s − 1`), clamped to the live range per batch: the persistent store's own reads
-    /// and the resident store's cold continuation, neither of which is a bounded open.
-    pub(crate) fn rows(next_row: u64, end_row: u64) -> ScanState {
+    /// A page scan over the global rows `[next_row, end_row)`, clamped to the live
+    /// range per batch.
+    fn rows(next_row: u64, end_row: u64) -> ScanState {
         ScanState(ScanStateInner::Rows {
             next_row,
             end_row,
@@ -486,6 +485,8 @@ struct Inner {
     first_live_pos: usize,
     last: Option<StreamElement>,
     max_sequence: u64,
+    /// Sequence minus `row + 1` for every live row (see `Inner::rows_of`).
+    sequence_offset: u64,
     /// Lifetime reclamation counters of this incarnation (surfaced via
     /// [`StorageBackend::disk_usage`]).
     reclaim_totals: ReclaimStats,
@@ -597,6 +598,7 @@ impl PersistentBackend {
             first_live_pos: 0,
             last: None,
             max_sequence: 0,
+            sequence_offset: 0,
             reclaim_totals: ReclaimStats::default(),
             options,
             heap,
@@ -629,6 +631,14 @@ impl PersistentBackend {
         Ok(PersistentBackend {
             inner: Mutex::new(inner),
         })
+    }
+
+    /// A scan of the live rows in the inclusive sequence range `[first_seq, last_seq]`:
+    /// the resident store's continuation into its cold prefix.  It is not a bounded
+    /// open, so it counts no index seek.
+    pub(crate) fn open_sequence_range(&self, first_seq: u64, last_seq: u64) -> ScanState {
+        let (next_row, end_row) = self.inner.lock().rows_of(first_seq, last_seq);
+        ScanState::rows(next_row, end_row)
     }
 
     /// Resident page count, capacity, and hit/eviction counters of the pool.
@@ -813,6 +823,16 @@ impl Inner {
     }
 
     fn note_row(&mut self, element: &StreamElement) {
+        if self.live_rows() == 0 {
+            // The first live row re-anchors the numbering: a cache store skips the
+            // sequences its resident side pruned without spilling them.
+            self.sequence_offset = element.sequence().saturating_sub(self.total_rows + 1);
+        }
+        debug_assert_eq!(
+            element.sequence(),
+            self.total_rows + 1 + self.sequence_offset,
+            "live sequences must stay contiguous with the heap row index"
+        );
         self.total_rows += 1;
         self.note_element(element);
     }
@@ -820,7 +840,11 @@ impl Inner {
     fn refresh_first_live_pos(&mut self) {
         let mut first = self.first_live_pos.min(self.index.len());
         while first < self.index.len() && self.index[first].info.end_row() <= self.logical_start {
-            self.pool.discard(self.table_id, self.index[first].pid);
+            // The tail page stays cached: its newest rows may not be written through
+            // yet, and recovery numbers rows by what each page holds on disk.
+            if first + 1 < self.index.len() {
+                self.pool.discard(self.table_id, self.index[first].pid);
+            }
             first += 1;
         }
         self.first_live_pos = first;
@@ -828,6 +852,27 @@ impl Inner {
 
     fn live_rows(&self) -> u64 {
         self.total_rows.saturating_sub(self.logical_start)
+    }
+
+    /// The global rows `[next_row, end_row)` holding the inclusive sequence range
+    /// `[first_seq, last_seq]` — the one place a sequence becomes a row number.
+    ///
+    /// Live rows carry dense sequences, `row + 1 + sequence_offset`.  A durable table
+    /// numbers from sequence 1, so its offset is 0 (`sequence s` ⇔ `row s − 1`).  A
+    /// spilled window's cache store only ever receives rows its resident side did not
+    /// prune first, so whenever it holds nothing live the next row re-anchors the
+    /// offset (see `note_row`); rows below the live range keep their old numbering but
+    /// are never read again.
+    fn rows_of(&self, first_seq: u64, last_seq: u64) -> (u64, u64) {
+        debug_assert_eq!(
+            self.max_sequence,
+            self.total_rows + self.sequence_offset,
+            "sequence numbering must stay contiguous with the heap row index"
+        );
+        (
+            first_seq.saturating_sub(1 + self.sequence_offset),
+            last_seq.saturating_sub(self.sequence_offset),
+        )
     }
 
     /// Un-checkpointed bytes this table holds in its WAL tag (0 for a cache store).
@@ -841,10 +886,17 @@ impl Inner {
         let ts = element.timestamp();
         match plan_record(record) {
             RecordLayout::Inline => {
-                // Single chunk: tail page if it fits, else a fresh page.
+                // Single chunk: tail page if it fits, else a fresh page.  A tail page
+                // wholly below the live range (everything was pruned) takes no more
+                // rows, so a page behind `first_live_pos` is never written again.
                 let needed = record.len() + 1;
                 let target = match self.index.len().checked_sub(1) {
-                    Some(pos) if self.tail_page_fits(self.index[pos].pid, needed)? => pos,
+                    Some(pos)
+                        if pos >= self.first_live_pos
+                            && self.tail_page_fits(self.index[pos].pid, needed)? =>
+                    {
+                        pos
+                    }
                     _ => self.start_new_page(self.total_rows)?,
                 };
                 self.append_chunk(target, CHUNK_FULL, record)?;
@@ -937,7 +989,7 @@ impl Inner {
     /// Count windows resolve to an *exact* start row through the page index (per-page
     /// `first_row` prefix sums), so a `Count(n)` cursor touches only the pages that
     /// actually hold the trailing `n` rows.  The sequence bounds then clamp the row
-    /// range exactly (sequence `s` ⇔ global row `s − 1`), the timestamp bounds arm
+    /// range exactly (through [`rows_of`](Self::rows_of)), the timestamp bounds arm
     /// page-granular skipping, and a limit hint trims the snapshot bound when nothing
     /// downstream can drop rows.  Each bounded open counts one index seek.
     ///
@@ -989,14 +1041,12 @@ impl Inner {
         let mut next_row = self.total_rows - n.min(live);
         let mut end_row = self.total_rows;
         if !bounds.is_unbounded() {
-            if let Some(min_seq) = bounds.min_seq {
-                next_row = next_row.max(min_seq.saturating_sub(1));
-            }
-            if let Some(max_seq) = bounds.max_seq {
-                // Row `max_seq − 1` is the last admissible row, so the exclusive
-                // snapshot bound clamps to `max_seq`.
-                end_row = end_row.min(max_seq);
-            }
+            let (first, end) = self.rows_of(
+                bounds.min_seq.unwrap_or(0),
+                bounds.max_seq.unwrap_or(u64::MAX),
+            );
+            next_row = next_row.max(first);
+            end_row = end_row.min(end);
             if let (Some(limit), None, None) = (bounds.limit, bounds.min_ts, bounds.max_ts) {
                 end_row = end_row.min(next_row.saturating_add(limit));
             }
@@ -1488,9 +1538,8 @@ impl StorageBackend for PersistentBackend {
         if inner.live_rows() == 0 {
             return Ok(None);
         }
-        // Sequences are contiguous from 1 (sequence `s` ⇔ global row `s − 1`), so the oldest
-        // live row — global index `logical_start` — carries `logical_start + 1`.
-        Ok(Some(inner.logical_start + 1))
+        // The oldest live row is global row `logical_start` (see `Inner::rows_of`).
+        Ok(Some(inner.logical_start + 1 + inner.sequence_offset))
     }
 
     fn scan_next(&self, state: &mut ScanState) -> GsnResult<Option<Vec<StreamElement>>> {
@@ -1631,6 +1680,46 @@ mod tests {
         backend
             .open_scan(WindowSpec::Count(usize::MAX), Timestamp::MAX, &bounds)
             .unwrap()
+    }
+
+    /// A pause longer than the horizon prunes every row, the half-filled tail page
+    /// included.  Rows appended afterwards must read back in order, and survive a
+    /// restart with their sequences (the dead tail page reaches disk whole, so recovery
+    /// numbers the rows after it correctly).
+    #[test]
+    fn appends_after_pruning_everything_read_back_and_recover() {
+        let dir = temp_dir("backend-prune-all");
+        let s = schema();
+        {
+            let mut b = open(&dir, 4);
+            for i in 1..=30 {
+                b.append(&element(&s, i, i, 200)).unwrap();
+            }
+            b.flush().unwrap();
+            for i in 31..=35 {
+                b.append(&element(&s, i, i, 200)).unwrap();
+            }
+            b.prune_horizon(Timestamp(9_900), 0).unwrap();
+            assert_eq!(b.len(), 0, "every page expired");
+            for i in 36..=40 {
+                b.append(&element(&s, i, 10_000 + i, 200)).unwrap();
+            }
+            assert_eq!(b.first_sequence().unwrap(), Some(36));
+            assert_eq!(
+                collect(&b, WindowSpec::Count(usize::MAX), Timestamp(10_040)),
+                (36..=40).collect::<Vec<i64>>()
+            );
+            assert_eq!(drain_scan(&b, &mut delta(&b, 37)), vec![38, 39, 40]);
+            b.flush().unwrap();
+        }
+        let b = open(&dir, 4);
+        assert_eq!(b.max_sequence(), 40);
+        assert_eq!(b.first_sequence().unwrap(), Some(36));
+        assert_eq!(
+            collect(&b, WindowSpec::Count(usize::MAX), Timestamp(10_040)),
+            (36..=40).collect::<Vec<i64>>()
+        );
+        assert_eq!(drain_scan(&b, &mut delta(&b, 37)), vec![38, 39, 40]);
     }
 
     #[test]

@@ -40,13 +40,7 @@ use crate::window::WindowSpec;
 
 /// Upper bound on elements per batch handed out by a resident scan cursor (persistent
 /// cursors batch by page instead: one buffer-pool page per call).
-///
-/// A batch's vector stays under 1 KiB.  glibc's allocator serves a larger request from
-/// its large bins and first consolidates every small chunk freed since the last such
-/// request; a pipeline that read its window in one bigger batch paid that on every
-/// arrival, where smaller batches let the freed chunks be reused directly.
-const RESIDENT_SCAN_BATCH: usize = 1000 / std::mem::size_of::<StreamElement>();
-const _: () = assert!(RESIDENT_SCAN_BATCH > 0);
+const RESIDENT_SCAN_BATCH: usize = 1024;
 
 /// Tuning for a disk-spilled window table.
 #[derive(Debug, Clone)]
@@ -369,12 +363,10 @@ impl StorageBackend for ResidentBackend {
                 }
                 // Cold first: the store's high-water mark moves up as elements spill
                 // between pulls, so this re-check per batch is what makes the cursor
-                // seamless across the boundary.  The continuation is a raw row range
-                // (sequence `s` ⇔ cold row `s − 1`), not a bounded open: it counts no
-                // index seek.
+                // seamless across the boundary.
                 if let Some(cold) = &self.cold {
                     if cold.len() > 0 && cold.max_sequence() >= *next_seq {
-                        let mut sub = ScanState::rows(*next_seq - 1, *end_seq);
+                        let mut sub = cold.open_sequence_range(*next_seq, *end_seq);
                         if let Some(batch) = cold.scan_next(&mut sub)? {
                             if let Some(last) = batch.last() {
                                 *next_seq = last.sequence() + 1;
@@ -616,6 +608,67 @@ mod tests {
         assert_eq!(kept.last().copied(), Some(300));
         let expect: Vec<i64> = ((300 - kept.len() as i64 + 1)..=300).collect();
         assert_eq!(kept, expect);
+    }
+
+    /// Rows pruned while the cold store holds nothing live never reach it, so the next
+    /// spill starts past a gap in the sequence numbering: before the first spill, and
+    /// after a pause longer than the window expires the whole cold store.  Every read
+    /// must still equal a memory table's.
+    #[test]
+    fn pruning_past_an_empty_cold_store_keeps_reads_exact() {
+        let dir = temp_dir("spill-gap");
+        let s = schema();
+        let mut b = spilling(&dir, 2 * 1024);
+        let mut mem = ResidentBackend::default();
+        let horizon = Duration::from_millis(500);
+        // The cold side prunes whole pages, so it may keep older rows than the memory
+        // table: compare everything the retention promises.
+        let check = |b: &ResidentBackend, mem: &ResidentBackend, now: Timestamp| {
+            assert!(b.len() >= mem.len());
+            assert!(b.first_sequence().unwrap() <= mem.first_sequence().unwrap());
+            for window in [
+                WindowSpec::Count(mem.len()),
+                WindowSpec::Count(40.min(mem.len())),
+                WindowSpec::Count(3),
+                WindowSpec::LatestOnly,
+                WindowSpec::Time(Duration::from_millis(250)),
+                WindowSpec::Time(horizon),
+            ] {
+                assert_eq!(
+                    values(b, window, now),
+                    values(mem, window, now),
+                    "{window:?}"
+                );
+            }
+            let first = mem.first_sequence().unwrap().unwrap();
+            for after in [first - 1, first + 7, first + 30, mem.max_sequence()] {
+                let (mut x, mut y) = (delta(b, after), delta(mem, after));
+                assert_eq!(drain(b, &mut x), drain(mem, &mut y), "after {after}");
+            }
+        };
+        let mut ts = 0;
+        for i in 1..=400 {
+            // Two pauses longer than the window: one before anything spilled, one that
+            // expires every spilled row.
+            ts += match i {
+                11 | 201 => 10_000,
+                _ => 10,
+            };
+            let e = element(&s, i, ts, 64);
+            for backend in [&mut b, &mut mem] {
+                backend.append(&e).unwrap();
+                backend
+                    .prune_horizon(Timestamp(ts).saturating_sub(horizon), 1)
+                    .unwrap();
+            }
+            if i % 25 == 0 || i == 11 || i == 201 {
+                check(&b, &mem, Timestamp(ts));
+            }
+        }
+        assert!(
+            b.migrations() > 2,
+            "the window must have spilled repeatedly"
+        );
     }
 
     #[test]

@@ -508,17 +508,18 @@ impl VirtualSensorDescriptor {
                         src.alias
                     )));
                 }
-                // The source query must parse and may reference only WRAPPER.
+                // The source query must parse and may reference only WRAPPER, in its
+                // subqueries too.
                 let parsed = gsn_sql::parse_query(&src.query).map_err(|e| {
                     GsnError::descriptor(format!("source query of `{}` is invalid: {e}", src.alias))
                 })?;
-                let plan = gsn_sql::plan_query(&parsed).map_err(|e| {
+                gsn_sql::plan_query(&parsed).map_err(|e| {
                     GsnError::descriptor(format!(
                         "source query of `{}` cannot be planned: {e}",
                         src.alias
                     ))
                 })?;
-                for table in plan.referenced_tables() {
+                for table in parsed.tables() {
                     if !table.eq_ignore_ascii_case("wrapper") {
                         return Err(GsnError::descriptor(format!(
                             "source query of `{}` may only read from WRAPPER, found `{table}`",
@@ -910,6 +911,19 @@ mod tests {
         );
         let err = VirtualSensorDescriptor::parse(&source_reads_other_table).unwrap_err();
         assert!(err.to_string().contains("WRAPPER"), "{err}");
+
+        // A subquery is no way around it; one over WRAPPER itself is fine.
+        for (subquery_table, ok) in [("othertable", false), ("WRAPPER", true)] {
+            let xml = PAPER_DESCRIPTOR.replace(
+                "select avg(temperature) as temperature from WRAPPER",
+                &format!(
+                    "select avg(temperature) as temperature from WRAPPER where temperature \
+                     in (select temperature from {subquery_table})"
+                ),
+            );
+            let parsed = VirtualSensorDescriptor::parse(&xml);
+            assert_eq!(parsed.is_ok(), ok, "{subquery_table}: {parsed:?}");
+        }
     }
 
     #[test]

@@ -267,10 +267,14 @@ proptest! {
     /// Memory, durable and spilled tables answer every window exactly like a naive
     /// `Vec`, through the table's drain helper and through the SQL cursor with random
     /// pushed-down bounds and sampling: bounds may over-read within the window, and the
-    /// executor's re-filter then makes the rows exact.
+    /// executor's re-filter then makes the rows exact.  Rare pauses longer than any
+    /// window let retention prune everything stored, spilled rows included.
     #[test]
     fn every_backend_reads_like_a_naive_vec(
-        deltas in prop::collection::vec(0i64..25, 0..300),
+        deltas in prop::collection::vec(
+            (0i64..25, 0u32..25).prop_map(|(d, pick)| if pick == 0 { 3_000 + d * 100 } else { d }),
+            0..300,
+        ),
         window_pick in (0u32..6, 1usize..400, 1i64..3_000),
         prune in prop::bool::ANY,
         seq_bounds in (prop::option::of(0u64..1_100), prop::option::of(0u64..1_100)),
