@@ -844,15 +844,13 @@ impl GsnContainer {
     /// Executes an ad-hoc SQL query on behalf of a principal, enforcing access control on
     /// every referenced virtual sensor.
     pub fn query_as(&self, principal: &Principal, sql: &str) -> GsnResult<Relation> {
-        let prepared = gsn_sql::SqlEngine::compile(sql, &gsn_sql::OptimizerConfig::default())?;
-        for table in prepared.referenced_tables() {
-            self.access.authorize(principal, Operation::Read, table)?;
-        }
+        let prepared = self.prepare_as(principal, sql)?;
         let watch = Stopwatch::start();
-        let result =
-            self.runtime
-                .query_manager
-                .execute_adhoc(sql, &self.runtime.storage, self.clock.now());
+        let result = self.runtime.query_manager.execute_adhoc(
+            &prepared,
+            &self.runtime.storage,
+            self.clock.now(),
+        );
         if let Ok(relation) = &result {
             let micros = watch.elapsed_micros();
             self.slow_queries.observe(micros, || SlowQuery {
@@ -880,10 +878,7 @@ impl GsnContainer {
     /// Opens a streaming ad-hoc query on behalf of a principal, enforcing access
     /// control on every referenced virtual sensor.
     pub fn query_cursor_as(&self, principal: &Principal, sql: &str) -> GsnResult<QueryCursor> {
-        let prepared = self.runtime.query_manager.prepare(sql)?;
-        for table in prepared.referenced_tables() {
-            self.access.authorize(principal, Operation::Read, table)?;
-        }
+        let prepared = self.prepare_as(principal, sql)?;
         // When the cursor is dropped its counters fold into the engine statistics, so
         // streaming executions show up in `ContainerStatus` like materialised ones.
         let runtime = Arc::clone(&self.runtime);
@@ -903,6 +898,16 @@ impl GsnContainer {
             self.clock.now(),
             Some(telemetry),
         )
+    }
+
+    /// Compiles `sql` through the prepared-query cache and authorises `principal` to
+    /// read every table in its table set, subquery tables included.
+    fn prepare_as(&self, principal: &Principal, sql: &str) -> GsnResult<gsn_sql::PreparedQuery> {
+        let prepared = self.runtime.query_manager.prepare(sql)?;
+        for table in prepared.referenced_tables() {
+            self.access.authorize(principal, Operation::Read, table)?;
+        }
+        Ok(prepared)
     }
 
     /// Renders the execution plan of a query (EXPLAIN).

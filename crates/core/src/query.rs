@@ -63,7 +63,8 @@ pub struct ClientQuery {
     pub sql: String,
     /// The compiled plan.
     prepared: PreparedQuery,
-    /// The history window applied to each virtual sensor output table the query reads.
+    /// The history window applied to every table the query reads, subquery tables
+    /// included.
     pub history: WindowSpec,
     /// Optional uniform sampling applied to the history before evaluation.
     pub sampling_rate: Option<f64>,
@@ -76,7 +77,7 @@ pub struct ClientQuery {
 }
 
 impl ClientQuery {
-    /// The virtual sensor output tables the query reads.
+    /// Every table the query reads, subquery tables included.
     pub fn referenced_tables(&self) -> &[String] {
         self.prepared.referenced_tables()
     }
@@ -489,27 +490,29 @@ impl QueryRepository {
         shard_index(table, self.partitions.len())
     }
 
-    /// Executes an ad-hoc (one-shot) query against the live storage, seeing the full
-    /// retained history of every table.
+    /// Executes a prepared ad-hoc (one-shot) query against the live storage, seeing the
+    /// full retained history of every table.
     pub fn execute_adhoc(
         &self,
-        sql: &str,
+        prepared: &PreparedQuery,
         storage: &StorageManager,
         now: Timestamp,
     ) -> GsnResult<Relation> {
         let mut partition = self.partitions[0].lock();
         partition.stats.adhoc_executed += 1;
         let catalog = LiveCatalog::new(storage, &[], now);
-        partition.engine.execute(sql, &catalog)
+        partition.engine.execute_prepared(prepared, &catalog)
     }
 
     /// Registers a continuous client query.
     ///
-    /// `history` bounds how much of each referenced table the query sees on every
-    /// evaluation; `sampling_rate` optionally thins that history (both map directly to
-    /// the random-query workload of the paper's Figure 4 experiment).  The query's
-    /// catalog views are built here, once, and its incremental state is compiled
-    /// lazily on first evaluation.
+    /// The query is indexed under, and re-evaluated on, every table in its table set
+    /// ([`PreparedQuery::referenced_tables`], subquery tables included).  `history`
+    /// bounds how much of each of those tables the query sees on every evaluation;
+    /// `sampling_rate` optionally thins that history (both map directly to the
+    /// random-query workload of the paper's Figure 4 experiment).  The query's catalog
+    /// views are built here, once, and its incremental state is compiled lazily on
+    /// first evaluation.
     pub fn register(
         &self,
         client: &str,
@@ -794,8 +797,9 @@ mod tests {
     fn adhoc_queries_see_full_history() {
         let storage = storage_with_output();
         let qm = QueryRepository::new(true);
+        let prepared = qm.prepare("select count(*) from room_temp").unwrap();
         let rel = qm
-            .execute_adhoc("select count(*) from room_temp", &storage, Timestamp(2_000))
+            .execute_adhoc(&prepared, &storage, Timestamp(2_000))
             .unwrap();
         assert_eq!(rel.rows()[0][0], Value::Integer(20));
         assert_eq!(qm.stats().0.adhoc_executed, 1);

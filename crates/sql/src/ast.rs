@@ -5,6 +5,7 @@
 //! operations and uncorrelated subqueries — which matches the paper's claim of supporting
 //! "joins, subqueries, ordering, grouping, unions, intersections" (Section 3).
 
+use std::convert::Infallible;
 use std::fmt;
 
 use gsn_types::Value;
@@ -26,10 +27,12 @@ pub struct Query {
 }
 
 impl Query {
-    /// Every base table the query names, lower-cased, including those read by derived
-    /// tables and by subqueries inside expressions (which
-    /// [`LogicalPlan::referenced_tables`](crate::LogicalPlan::referenced_tables) leaves
-    /// to the executor).
+    /// Every base table the query reads, lower-cased and without duplicates: the FROM
+    /// and JOIN tables of every SELECT body, derived tables, and the bodies of IN, EXISTS
+    /// and scalar subqueries in any clause.  This is the query's one table set: access
+    /// checks, registered-query indexing, federated row-shipping and descriptor
+    /// validation all read it, through
+    /// [`PreparedQuery::referenced_tables`](crate::PreparedQuery::referenced_tables).
     pub fn tables(&self) -> Vec<String> {
         let mut out = Vec::new();
         self.collect_tables(&mut out);
@@ -375,6 +378,69 @@ pub enum Expr {
     },
 }
 
+/// Applies the fallible `$f` to every direct child of `$expr`, which is an `&Expr` or an
+/// `&mut Expr`: the one list of an expression's children, shared by the by-reference walk
+/// and the rewriter.
+macro_rules! for_each_child {
+    ($expr:expr, $f:ident) => {
+        match $expr {
+            Expr::Literal(_)
+            | Expr::Column { .. }
+            | Expr::Exists { .. }
+            | Expr::ScalarSubquery(_) => {}
+            Expr::Unary { operand: e, .. }
+            | Expr::IsNull { expr: e, .. }
+            | Expr::InSubquery { expr: e, .. }
+            | Expr::Cast { expr: e, .. } => $f(e)?,
+            Expr::Binary {
+                left: a, right: b, ..
+            }
+            | Expr::Like {
+                expr: a,
+                pattern: b,
+                ..
+            } => {
+                $f(a)?;
+                $f(b)?;
+            }
+            Expr::Function { args, .. } => {
+                for arg in args {
+                    $f(arg)?;
+                }
+            }
+            Expr::InList { expr, list, .. } => {
+                $f(expr)?;
+                for item in list {
+                    $f(item)?;
+                }
+            }
+            Expr::Between {
+                expr, low, high, ..
+            } => {
+                $f(expr)?;
+                $f(low)?;
+                $f(high)?;
+            }
+            Expr::Case {
+                operand,
+                branches,
+                else_expr,
+            } => {
+                if let Some(operand) = operand {
+                    $f(operand)?;
+                }
+                for (when, then) in branches {
+                    $f(when)?;
+                    $f(then)?;
+                }
+                if let Some(else_expr) = else_expr {
+                    $f(else_expr)?;
+                }
+            }
+        }
+    };
+}
+
 impl Expr {
     /// Convenience constructor for a bare column reference.
     pub fn col(name: &str) -> Expr {
@@ -436,59 +502,47 @@ impl Expr {
         found
     }
 
-    /// Visits this expression and all sub-expressions, pre-order.
+    /// Visits this expression and all sub-expressions, pre-order.  Subquery bodies are
+    /// not sub-expressions: they are whole queries, reached through [`Query::tables`].
     pub fn visit(&self, f: &mut impl FnMut(&Expr)) {
         f(self);
-        match self {
-            Expr::Literal(_) | Expr::Column { .. } => {}
-            Expr::Unary { operand, .. } => operand.visit(f),
-            Expr::Binary { left, right, .. } => {
-                left.visit(f);
-                right.visit(f);
-            }
-            Expr::Function { args, .. } => {
-                for a in args {
-                    a.visit(f);
-                }
-            }
-            Expr::IsNull { expr, .. } => expr.visit(f),
-            Expr::Like { expr, pattern, .. } => {
-                expr.visit(f);
-                pattern.visit(f);
-            }
-            Expr::InList { expr, list, .. } => {
-                expr.visit(f);
-                for e in list {
-                    e.visit(f);
-                }
-            }
-            Expr::InSubquery { expr, .. } => expr.visit(f),
-            Expr::Exists { .. } | Expr::ScalarSubquery(_) => {}
-            Expr::Between {
-                expr, low, high, ..
-            } => {
-                expr.visit(f);
-                low.visit(f);
-                high.visit(f);
-            }
-            Expr::Case {
-                operand,
-                branches,
-                else_expr,
-            } => {
-                if let Some(op) = operand {
-                    op.visit(f);
-                }
-                for (w, t) in branches {
-                    w.visit(f);
-                    t.visit(f);
-                }
-                if let Some(e) = else_expr {
-                    e.visit(f);
-                }
-            }
-            Expr::Cast { expr, .. } => expr.visit(f),
-        }
+        self.all_children(|child| {
+            child.visit(f);
+            true
+        });
+    }
+
+    /// True when `f` holds for every direct child, stopping at the first that fails.
+    /// The children are those [`try_map_children`](Self::try_map_children) rewrites.
+    pub fn all_children(&self, mut f: impl FnMut(&Expr) -> bool) -> bool {
+        let mut check = |child: &Expr| f(child).then_some(());
+        let mut walk = || -> Option<()> {
+            for_each_child!(self, check);
+            Some(())
+        };
+        walk().is_some()
+    }
+
+    /// Rebuilds this expression with `f` applied to each direct child, left to right,
+    /// stopping at the first error.  Each child is rewritten in the `Box` or `Vec` slot
+    /// it already occupies, so the rewrite allocates nothing beyond what `f` does.
+    /// Subquery bodies are not children; the tested operand of `IN (subquery)` is.
+    pub fn try_map_children<E>(
+        mut self,
+        mut f: impl FnMut(Expr) -> Result<Expr, E>,
+    ) -> Result<Expr, E> {
+        let mut map = |child: &mut Expr| -> Result<(), E> {
+            *child = f(std::mem::replace(child, Expr::Literal(Value::Null)))?;
+            Ok(())
+        };
+        for_each_child!(&mut self, map);
+        Ok(self)
+    }
+
+    /// [`try_map_children`](Self::try_map_children) for a rewrite that cannot fail.
+    pub fn map_children(self, mut f: impl FnMut(Expr) -> Expr) -> Expr {
+        let Ok(expr) = self.try_map_children(|child| Ok::<_, Infallible>(f(child)));
+        expr
     }
 
     /// Collects the (qualifier, name) pairs of every column referenced by the expression.
@@ -647,16 +701,19 @@ mod tests {
 
     #[test]
     fn query_tables_include_every_subquery() {
-        let q = crate::parse_query(
-            "select a, (select max(b) from Scalar) from T \
-             join (select * from derived) d on d.x in (select x from on_in) \
-             where exists (select 1 from exists_t) \
-             union select 1 from u where 1 in (select y from T)",
-        )
-        .unwrap();
+        let tables = |sql: &str| crate::parse_query(sql).unwrap().tables();
         assert_eq!(
-            q.tables(),
+            tables(
+                "select a, (select max(b) from Scalar) from T \
+                 join (select * from derived) d on d.x in (select x from on_in) \
+                 where exists (select 1 from exists_t) \
+                 union select 1 from u where 1 in (select y from T)"
+            ),
             vec!["t", "derived", "u", "scalar", "exists_t", "on_in"]
+        );
+        assert_eq!(
+            tables("select * from a join b on a.x = b.x cross join A where a.y in (1, 2)"),
+            vec!["a", "b"]
         );
     }
 

@@ -39,7 +39,8 @@ impl PreparedQuery {
         &self.plan
     }
 
-    /// The base tables (stream sources / virtual sensors) the query reads.
+    /// Every base table (stream source / virtual sensor) the query reads, subquery
+    /// tables included: [`Query::tables`](crate::Query::tables) of the parsed query.
     pub fn referenced_tables(&self) -> &[String] {
         &self.tables
     }
@@ -183,9 +184,9 @@ impl SqlEngine {
     /// contexts such as read-only validation).
     pub fn compile(sql: &str, optimizer: &OptimizerConfig) -> GsnResult<PreparedQuery> {
         let ast = parse_query(sql)?;
+        let tables = ast.tables();
         let plan = plan_query(&ast)?;
         let plan = optimize(plan, optimizer)?;
-        let tables = plan.referenced_tables();
         Ok(PreparedQuery {
             sql: sql.to_owned(),
             plan: Arc::new(plan),

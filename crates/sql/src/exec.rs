@@ -1069,89 +1069,7 @@ fn resolve_subqueries(expr: Expr, catalog: &dyn Catalog) -> GsnResult<Expr> {
                 }
             }
         }
-        Expr::Unary { op, operand } => Expr::Unary {
-            op,
-            operand: Box::new(resolve_subqueries(*operand, catalog)?),
-        },
-        Expr::Binary { left, op, right } => Expr::Binary {
-            left: Box::new(resolve_subqueries(*left, catalog)?),
-            op,
-            right: Box::new(resolve_subqueries(*right, catalog)?),
-        },
-        Expr::Function {
-            name,
-            distinct,
-            args,
-        } => Expr::Function {
-            name,
-            distinct,
-            args: args
-                .into_iter()
-                .map(|a| resolve_subqueries(a, catalog))
-                .collect::<GsnResult<_>>()?,
-        },
-        Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: Box::new(resolve_subqueries(*expr, catalog)?),
-            negated,
-        },
-        Expr::Like {
-            expr,
-            pattern,
-            negated,
-        } => Expr::Like {
-            expr: Box::new(resolve_subqueries(*expr, catalog)?),
-            pattern: Box::new(resolve_subqueries(*pattern, catalog)?),
-            negated,
-        },
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => Expr::InList {
-            expr: Box::new(resolve_subqueries(*expr, catalog)?),
-            list: list
-                .into_iter()
-                .map(|e| resolve_subqueries(e, catalog))
-                .collect::<GsnResult<_>>()?,
-            negated,
-        },
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => Expr::Between {
-            expr: Box::new(resolve_subqueries(*expr, catalog)?),
-            low: Box::new(resolve_subqueries(*low, catalog)?),
-            high: Box::new(resolve_subqueries(*high, catalog)?),
-            negated,
-        },
-        Expr::Case {
-            operand,
-            branches,
-            else_expr,
-        } => Expr::Case {
-            operand: operand
-                .map(|o| resolve_subqueries(*o, catalog).map(Box::new))
-                .transpose()?,
-            branches: branches
-                .into_iter()
-                .map(|(w, t)| {
-                    Ok((
-                        resolve_subqueries(w, catalog)?,
-                        resolve_subqueries(t, catalog)?,
-                    ))
-                })
-                .collect::<GsnResult<_>>()?,
-            else_expr: else_expr
-                .map(|e| resolve_subqueries(*e, catalog).map(Box::new))
-                .transpose()?,
-        },
-        Expr::Cast { expr, data_type } => Expr::Cast {
-            expr: Box::new(resolve_subqueries(*expr, catalog)?),
-            data_type,
-        },
-        leaf @ (Expr::Literal(_) | Expr::Column { .. }) => leaf,
+        other => other.try_map_children(|child| resolve_subqueries(child, catalog))?,
     })
 }
 
@@ -1209,89 +1127,7 @@ pub(crate) fn extract_aggregates(
             });
             Expr::col(&placeholder)
         }
-        Expr::Unary { op, operand } => Expr::Unary {
-            op,
-            operand: Box::new(extract_aggregates(*operand, aggregates)?),
-        },
-        Expr::Binary { left, op, right } => Expr::Binary {
-            left: Box::new(extract_aggregates(*left, aggregates)?),
-            op,
-            right: Box::new(extract_aggregates(*right, aggregates)?),
-        },
-        Expr::Function {
-            name,
-            distinct,
-            args,
-        } => Expr::Function {
-            name,
-            distinct,
-            args: args
-                .into_iter()
-                .map(|a| extract_aggregates(a, aggregates))
-                .collect::<GsnResult<_>>()?,
-        },
-        Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: Box::new(extract_aggregates(*expr, aggregates)?),
-            negated,
-        },
-        Expr::Like {
-            expr,
-            pattern,
-            negated,
-        } => Expr::Like {
-            expr: Box::new(extract_aggregates(*expr, aggregates)?),
-            pattern: Box::new(extract_aggregates(*pattern, aggregates)?),
-            negated,
-        },
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => Expr::InList {
-            expr: Box::new(extract_aggregates(*expr, aggregates)?),
-            list: list
-                .into_iter()
-                .map(|e| extract_aggregates(e, aggregates))
-                .collect::<GsnResult<_>>()?,
-            negated,
-        },
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => Expr::Between {
-            expr: Box::new(extract_aggregates(*expr, aggregates)?),
-            low: Box::new(extract_aggregates(*low, aggregates)?),
-            high: Box::new(extract_aggregates(*high, aggregates)?),
-            negated,
-        },
-        Expr::Case {
-            operand,
-            branches,
-            else_expr,
-        } => Expr::Case {
-            operand: operand
-                .map(|o| extract_aggregates(*o, aggregates).map(Box::new))
-                .transpose()?,
-            branches: branches
-                .into_iter()
-                .map(|(w, t)| {
-                    Ok((
-                        extract_aggregates(w, aggregates)?,
-                        extract_aggregates(t, aggregates)?,
-                    ))
-                })
-                .collect::<GsnResult<_>>()?,
-            else_expr: else_expr
-                .map(|e| extract_aggregates(*e, aggregates).map(Box::new))
-                .transpose()?,
-        },
-        Expr::Cast { expr, data_type } => Expr::Cast {
-            expr: Box::new(extract_aggregates(*expr, aggregates)?),
-            data_type,
-        },
-        leaf => leaf,
+        other => other.try_map_children(|child| extract_aggregates(child, aggregates))?,
     })
 }
 
@@ -1345,25 +1181,7 @@ fn strip_qualifiers(expr: Expr) -> Expr {
             qualifier: None,
             name,
         },
-        Expr::Unary { op, operand } => Expr::Unary {
-            op,
-            operand: Box::new(strip_qualifiers(*operand)),
-        },
-        Expr::Binary { left, op, right } => Expr::Binary {
-            left: Box::new(strip_qualifiers(*left)),
-            op,
-            right: Box::new(strip_qualifiers(*right)),
-        },
-        Expr::Function {
-            name,
-            distinct,
-            args,
-        } => Expr::Function {
-            name,
-            distinct,
-            args: args.into_iter().map(strip_qualifiers).collect(),
-        },
-        other => other,
+        other => other.map_children(strip_qualifiers),
     }
 }
 

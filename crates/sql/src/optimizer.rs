@@ -145,79 +145,9 @@ fn fold_plan_constants(plan: LogicalPlan) -> GsnResult<LogicalPlan> {
 /// literals and evaluation succeeds; any error (division by zero, type mismatch) leaves
 /// the expression unchanged so that runtime semantics — including errors — are preserved.
 pub fn fold_expr(expr: Expr) -> Expr {
-    // First fold children.
-    let expr = match expr {
-        Expr::Unary { op, operand } => Expr::Unary {
-            op,
-            operand: Box::new(fold_expr(*operand)),
-        },
-        Expr::Binary { left, op, right } => Expr::Binary {
-            left: Box::new(fold_expr(*left)),
-            op,
-            right: Box::new(fold_expr(*right)),
-        },
-        Expr::Function {
-            name,
-            distinct,
-            args,
-        } => Expr::Function {
-            name,
-            distinct,
-            args: args.into_iter().map(fold_expr).collect(),
-        },
-        Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: Box::new(fold_expr(*expr)),
-            negated,
-        },
-        Expr::Like {
-            expr,
-            pattern,
-            negated,
-        } => Expr::Like {
-            expr: Box::new(fold_expr(*expr)),
-            pattern: Box::new(fold_expr(*pattern)),
-            negated,
-        },
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => Expr::InList {
-            expr: Box::new(fold_expr(*expr)),
-            list: list.into_iter().map(fold_expr).collect(),
-            negated,
-        },
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => Expr::Between {
-            expr: Box::new(fold_expr(*expr)),
-            low: Box::new(fold_expr(*low)),
-            high: Box::new(fold_expr(*high)),
-            negated,
-        },
-        Expr::Case {
-            operand,
-            branches,
-            else_expr,
-        } => Expr::Case {
-            operand: operand.map(|o| Box::new(fold_expr(*o))),
-            branches: branches
-                .into_iter()
-                .map(|(w, t)| (fold_expr(w), fold_expr(t)))
-                .collect(),
-            else_expr: else_expr.map(|e| Box::new(fold_expr(*e))),
-        },
-        Expr::Cast { expr, data_type } => Expr::Cast {
-            expr: Box::new(fold_expr(*expr)),
-            data_type,
-        },
-        other => other,
-    };
-
-    // Then try to evaluate this node if it is constant (and not a subquery/aggregate).
+    // Fold the children first, then this node if it is constant (and not a subquery or
+    // an aggregate).
+    let expr = expr.map_children(fold_expr);
     if is_foldable_constant(&expr) {
         let ctx = RowContext::new(&[], &[]);
         if let Ok(v) = evaluate(&expr, &ctx) {
@@ -256,38 +186,8 @@ fn is_foldable_constant(expr: &Expr) -> bool {
         | Expr::InSubquery { .. }
         | Expr::Exists { .. }
         | Expr::ScalarSubquery(_) => false,
-        Expr::Function { name, args, .. } => {
-            crate::functions::is_scalar_function(name) && args.iter().all(is_foldable_constant)
-        }
-        Expr::Unary { operand, .. } => is_foldable_constant(operand),
-        Expr::Binary { left, right, .. } => {
-            is_foldable_constant(left) && is_foldable_constant(right)
-        }
-        Expr::IsNull { expr, .. } => is_foldable_constant(expr),
-        Expr::Like { expr, pattern, .. } => {
-            is_foldable_constant(expr) && is_foldable_constant(pattern)
-        }
-        Expr::InList { expr, list, .. } => {
-            is_foldable_constant(expr) && list.iter().all(is_foldable_constant)
-        }
-        Expr::Between {
-            expr, low, high, ..
-        } => is_foldable_constant(expr) && is_foldable_constant(low) && is_foldable_constant(high),
-        Expr::Case {
-            operand,
-            branches,
-            else_expr,
-        } => {
-            operand.as_deref().map(is_foldable_constant).unwrap_or(true)
-                && branches
-                    .iter()
-                    .all(|(w, t)| is_foldable_constant(w) && is_foldable_constant(t))
-                && else_expr
-                    .as_deref()
-                    .map(is_foldable_constant)
-                    .unwrap_or(true)
-        }
-        Expr::Cast { expr, .. } => is_foldable_constant(expr),
+        Expr::Function { name, .. } if !crate::functions::is_scalar_function(name) => false,
+        other => other.all_children(is_foldable_constant),
     }
 }
 

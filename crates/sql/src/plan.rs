@@ -313,26 +313,6 @@ impl LogicalPlan {
         }
     }
 
-    /// All base table names referenced anywhere in the plan (used by the query repository
-    /// to index registered client queries by the virtual sensors they read).
-    pub fn referenced_tables(&self) -> Vec<String> {
-        let mut tables = Vec::new();
-        self.collect_tables(&mut tables);
-        tables
-    }
-
-    fn collect_tables(&self, out: &mut Vec<String>) {
-        if let LogicalPlan::Scan { table, .. } = self {
-            let lowered = table.to_ascii_lowercase();
-            if !out.contains(&lowered) {
-                out.push(lowered);
-            }
-        }
-        for child in self.children() {
-            child.collect_tables(out);
-        }
-    }
-
     /// Renders an `EXPLAIN`-style indented description of the plan.
     pub fn explain(&self) -> String {
         let mut out = String::new();
@@ -909,14 +889,6 @@ mod tests {
             }
             other => panic!("unexpected plan {other:?}"),
         }
-    }
-
-    #[test]
-    fn referenced_tables_are_collected() {
-        let p = plan("select * from a join b on a.x = b.x where a.y in (1,2)");
-        let mut tables = p.referenced_tables();
-        tables.sort();
-        assert_eq!(tables, vec!["a", "b"]);
     }
 
     #[test]

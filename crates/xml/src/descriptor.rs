@@ -455,14 +455,15 @@ impl VirtualSensorDescriptor {
                     is.name
                 )));
             }
-            // The output query must parse and must reference only declared aliases.
+            // The output query must parse and must read only declared aliases, in its
+            // subqueries too.
             let parsed = gsn_sql::parse_query(&is.query).map_err(|e| {
                 GsnError::descriptor(format!(
                     "output query of input stream `{}` is invalid: {e}",
                     is.name
                 ))
             })?;
-            let plan = gsn_sql::plan_query(&parsed).map_err(|e| {
+            gsn_sql::plan_query(&parsed).map_err(|e| {
                 GsnError::descriptor(format!(
                     "output query of input stream `{}` cannot be planned: {e}",
                     is.name
@@ -473,7 +474,7 @@ impl VirtualSensorDescriptor {
                 .iter()
                 .map(|s| s.alias.to_ascii_lowercase())
                 .collect();
-            for table in plan.referenced_tables() {
+            for table in parsed.tables() {
                 if !aliases.contains(&table) {
                     return Err(GsnError::descriptor(format!(
                         "output query of input stream `{}` references `{table}`, which is not a declared stream-source alias ({})",

@@ -318,6 +318,58 @@ fn time_window_seeding_reads_a_bounded_page_range() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A registered query's table set includes the tables its subqueries read: it is
+/// re-evaluated when only such a table changes, and its history window bounds that
+/// table too.
+#[test]
+fn registered_query_re_evaluates_when_its_subquery_table_changes() {
+    let storage = StorageManager::new();
+    for table in ["readings", "thresholds"] {
+        storage
+            .create_table(table, schema(), Retention::Unbounded)
+            .unwrap();
+    }
+    let insert = |table: &str, temperature: i64, ts: i64| {
+        let element = StreamElement::new(
+            schema(),
+            vec![Value::Integer(temperature), Value::varchar("bc143")],
+            Timestamp(ts),
+        )
+        .unwrap();
+        storage.insert(table, element, Timestamp(ts)).unwrap();
+    };
+    for temperature in [10, 20, 30] {
+        insert("readings", temperature, 1);
+    }
+    let repo = QueryRepository::with_partitions(2, true);
+    let id = repo
+        .register(
+            "c",
+            "select count(*) as n from readings \
+             where temperature not in (select temperature from thresholds)",
+            WindowSpec::Count(2),
+            None,
+        )
+        .unwrap();
+
+    // Only `thresholds` changes.  The window keeps readings [20, 30]; 20 is excluded.
+    insert("thresholds", 20, 2);
+    let results = repo.evaluate_for_table("thresholds", &storage, Timestamp(2));
+    assert_eq!(results.len(), 1);
+    assert_eq!(results[0].query_id, id);
+    assert_eq!(results[0].relation.rows()[0][0], Value::Integer(1));
+
+    // The two-element history applies to `thresholds` as well: it now holds [30, 40],
+    // so 20 counts again and 30 does not.
+    insert("thresholds", 30, 3);
+    insert("thresholds", 40, 3);
+    let results = repo.evaluate_for_table("THRESHOLDS", &storage, Timestamp(3));
+    assert_eq!(results.len(), 1);
+    assert_eq!(results[0].relation.rows()[0][0], Value::Integer(1));
+    let (stats, _) = repo.stats();
+    assert_eq!(stats.registered_failed, 0);
+}
+
 // ---------------------------------------------------------------------------------------
 // Sharded query evaluation parity (workers = 1 vs workers = 4)
 // ---------------------------------------------------------------------------------------

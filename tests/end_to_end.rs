@@ -285,3 +285,69 @@ fn access_control_and_status_reporting() {
     assert!(rendered.contains("secure-lab"));
     assert!(rendered.contains("virtual sensors (1)"));
 }
+
+fn temperature_sensor_xml(name: &str, output_query: &str) -> String {
+    format!(
+        r#"<virtual-sensor name="{name}">
+             <output-structure><field name="temperature" type="double"/></output-structure>
+             <storage permanent-storage="true"/>
+             <input-stream name="main">
+               <stream-source alias="s" storage-size="5">
+                 <address wrapper="mote"><predicate key="interval" val="100"/></address>
+                 <query>select avg(temperature) as temperature from WRAPPER</query>
+               </stream-source>
+               <query>{output_query}</query>
+             </input-stream>
+           </virtual-sensor>"#
+    )
+}
+
+#[test]
+fn subquery_tables_are_access_checked() {
+    use gsn::network::Principal;
+    use gsn::GsnError;
+
+    let (mut node, clock) = new_node();
+    for name in ["a-temp", "b-temp"] {
+        node.deploy_xml(&temperature_sensor_xml(name, "select * from s"))
+            .unwrap();
+    }
+    run(&mut node, &clock, 1_000, 100);
+    node.access_control()
+        .restrict_sensor("b_temp", vec![Principal::named("operator")]);
+
+    let visitor = Principal::named("visitor");
+    for sql in [
+        "select * from b_temp",
+        "select count(*) from a_temp where temperature not in (select temperature from b_temp)",
+        "select (select max(temperature) from b_temp) from a_temp",
+        "select count(*) from a_temp where exists (select 1 from b_temp)",
+    ] {
+        assert!(
+            matches!(node.query_as(&visitor, sql), Err(GsnError::AccessDenied(_))),
+            "query_as read b_temp through `{sql}`"
+        );
+        assert!(
+            matches!(
+                node.query_cursor_as(&visitor, sql),
+                Err(GsnError::AccessDenied(_))
+            ),
+            "query_cursor_as read b_temp through `{sql}`"
+        );
+        assert!(node.query_as(&Principal::named("operator"), sql).is_ok());
+    }
+}
+
+#[test]
+fn output_query_subqueries_may_read_only_declared_sources() {
+    let (mut node, _clock) = new_node();
+    let deployed = node.deploy_xml(&temperature_sensor_xml(
+        "leaky",
+        "select * from s where temperature not in (select temperature from b_temp)",
+    ));
+    assert!(
+        matches!(&deployed, Err(gsn::GsnError::Descriptor(m)) if m.contains("b_temp")),
+        "{deployed:?}"
+    );
+    assert!(node.sensor_names().is_empty());
+}

@@ -354,6 +354,70 @@ fn federated_aggregate_survives_a_node_leaving_mid_run() {
     }
 }
 
+/// Rows of `mesh_temp` above `threshold`, summed over the nodes' local shards.
+fn shard_count_above(mesh: &mut Mesh, ids: &[gsn::types::NodeId], threshold: f64) -> i64 {
+    ids.iter()
+        .map(|id| {
+            mesh.node_mut(*id)
+                .unwrap()
+                .query(&format!(
+                    "select count(*) from mesh_temp where temperature > {threshold}"
+                ))
+                .unwrap()
+                .rows()[0][0]
+                .as_integer()
+                .unwrap()
+        })
+        .sum()
+}
+
+#[test]
+fn row_shipped_query_ships_its_subquery_tables() {
+    let (mut mesh, ids) = sharded_mesh(2);
+    mesh.node_mut(ids[1])
+        .unwrap()
+        .deploy(temperature_producer("other-temp", "other", 100))
+        .unwrap();
+    mesh.run_for(Duration::from_secs(2), Duration::from_millis(100));
+    assert!(mesh.replicas_converged(), "gossip did not converge");
+
+    // `other_temp` lives on the second node only and keeps every row, so its minimum
+    // never rises while the query runs.
+    let other_min = |mesh: &mut Mesh| {
+        mesh.node_mut(ids[1])
+            .unwrap()
+            .query("select min(temperature) from other_temp")
+            .unwrap()
+            .rows()[0][0]
+            .as_double()
+            .unwrap()
+    };
+    let min_before = other_min(&mut mesh);
+    let lower = shard_count_above(&mut mesh, &ids, min_before);
+    let rel = mesh
+        .federated_query(
+            ids[0],
+            "select temperature from mesh_temp \
+             where temperature > (select min(temperature) from other_temp)",
+            Duration::from_millis(100),
+            100,
+        )
+        .unwrap();
+    let min_after = other_min(&mut mesh);
+    let upper = shard_count_above(&mut mesh, &ids, min_after);
+
+    let n = rel.row_count() as i64;
+    assert!(
+        (lower..=upper).contains(&n),
+        "federated rows {n} outside [{lower}, {upper}]"
+    );
+    for row in rel.rows() {
+        assert!(row[0].as_double().unwrap() > min_after);
+    }
+    // Not decomposable into partials: the rows of both tables travelled.
+    assert!(mesh.network().sent_of_kind("query-batch") > 0);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
