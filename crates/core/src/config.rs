@@ -17,12 +17,6 @@ pub struct ContainerConfig {
     pub node_id: NodeId,
     /// Human-readable container name (used in status reports and directory metadata).
     pub name: String,
-    /// Worker threads for the container's sharded step loop.  `1` (the default) keeps
-    /// the seed's sequential semantics: every sensor pipeline runs inline on the caller
-    /// in deterministic name order.  `N > 1` shards the sensors across an `N`-thread
-    /// [`crate::WorkerPool`] by name hash; per-sensor processing order (and therefore
-    /// per-sensor output) is unchanged, only independent sensors overlap in time.
-    pub workers: usize,
     /// Maximum number of virtual sensors this container will host (resource guard).
     pub max_virtual_sensors: usize,
     /// Capacity of the per-remote-subscriber disconnect buffer: how many output elements
@@ -49,8 +43,8 @@ pub struct ContainerConfig {
     /// segment.
     pub storage_segment_pages: u32,
     /// Run the storage maintenance pass (retention reclamation: head-segment deletion
-    /// and boundary compaction) every this many steps, scheduled onto the worker pool
-    /// when the step loop is sharded.  `0` disables maintenance.
+    /// and boundary compaction) every this many steps, inline at the end of the step
+    /// that reaches the interval.  `0` disables maintenance.
     pub maintenance_interval_steps: u64,
     /// Resident-memory budget for source windows: when set (and `data_dir` is
     /// configured), a memory-backed window whose payload bytes exceed this budget
@@ -77,7 +71,6 @@ impl Default for ContainerConfig {
         ContainerConfig {
             node_id: NodeId::LOCAL,
             name: "gsn-node".to_owned(),
-            workers: 1,
             max_virtual_sensors: 1_024,
             disconnect_buffer_capacity: 64,
             incremental_queries: true,
@@ -111,9 +104,10 @@ impl ContainerConfig {
         self
     }
 
-    /// Sets the number of step-loop worker threads.
-    pub fn with_workers(mut self, workers: usize) -> ContainerConfig {
-        self.workers = workers.max(1);
+    /// Ignores its argument: every step runs on the caller's thread.  Kept only for
+    /// callers written against the removed worker-pool option.
+    #[doc(hidden)]
+    pub fn with_workers(self, _workers: usize) -> ContainerConfig {
         self
     }
 
@@ -159,11 +153,6 @@ impl ContainerConfig {
                 ..PersistentOptions::default()
             },
             window_spill_bytes: self.window_spill_bytes,
-            // One shared WAL shard per step-loop worker: the worker that runs a
-            // sensor's pipeline is the only appender to that sensor's shard (both use
-            // the same name hash), and the per-step commit fsyncs once per active
-            // shard instead of once per durable table.
-            wal_shards: self.workers,
         }
     }
 }
@@ -186,11 +175,8 @@ mod tests {
     fn defaults_are_sensible() {
         let c = ContainerConfig::default();
         assert_eq!(c.node_id, NodeId::LOCAL);
-        assert_eq!(c.workers, 1);
         assert!(c.max_virtual_sensors >= 1);
         assert!(c.disconnect_buffer_capacity > 0);
-        assert_eq!(ContainerConfig::default().with_workers(0).workers, 1);
-        assert_eq!(ContainerConfig::default().with_workers(8).workers, 8);
     }
 
     #[test]

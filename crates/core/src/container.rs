@@ -12,48 +12,20 @@
 //! notifications.  Live deployments call `step` from a timer loop on the wall clock;
 //! tests and benchmark harnesses drive it from a [`gsn_types::SimulatedClock`].
 //!
-//! ## Threading model: the sharded step loop
+//! ## Threading model: one thread
 //!
-//! With `ContainerConfig::workers > 1` the per-sensor pipelines run concurrently on a
-//! [`WorkerPool`].  The moving parts:
-//!
-//! * **Shard assignment** — sensors are partitioned across the workers by a stable FNV
-//!   hash of their name ([`shard_index`]); each shard's job processes its sensors in
-//!   name order on one worker thread, so one sensor's pipeline is never concurrent with
-//!   itself and its outputs stay in arrival order.
-//! * **Shared state** — the managers a pipeline touches live in a `PipelineRuntime`
-//!   shared by `Arc`: the [`StorageManager`] is internally synchronised (per-table
-//!   `RwLock`s plus the container-wide shared buffer pool), the [`QueryRepository`] and
-//!   [`NotificationManager`] sit behind `Mutex`es with short lock scopes (one
-//!   evaluation / one delivery), and the remote-route table behind an `RwLock` that
-//!   `step` only reads.
-//! * **Lock order** — two descending chains share the storage table locks as their
-//!   common leaf: `sensor mutex → storage table lock` (the pipeline inserts while the
-//!   sensor is locked) and `query-manager mutex → storage table lock` (evaluation reads
-//!   tables under the manager lock).  The notification mutex is taken with none of the
-//!   above held.  Never acquire a sensor or manager mutex while holding a table lock.
-//!   A sensor's mutex is *released* before its output fans out, so recursion into a
-//!   consumer sensor (local loop-back routes) never holds two sensor locks at once.
-//! * **What runs where** — the whole federation wire runs sequentially on the caller:
-//!   network intake (one handler per message kind), subscription re-sends, the remote
-//!   cursor reaper, scatter completion, the exchange engine's re-send/reap tick and
-//!   gossip.  So do deferred cross-shard deliveries, pruning and the per-step WAL group
-//!   commit.  Only wrapper polling + pipeline execution (and the per-output query
-//!   evaluation / notification they trigger) run on the pool.
-//! * **Determinism** — per-shard [`StepReport`]s merge in shard-index order, and
-//!   loop-back deliveries that cross a shard boundary are deferred to a sequential
-//!   post-barrier phase (ordered by producing shard, then production order).  With
-//!   `workers = 1` no pool exists and the loop is byte-identical to the pre-sharding
-//!   sequential semantics.  With `workers = N`, for sensors whose inputs are their own
-//!   local wrappers (and registered queries over a single sensor's output), every
-//!   per-sensor output sequence, notification stream and table content is identical to
-//!   the sequential run — only cross-sensor interleaving (and wall-clock time) differs.
-//!   Two workloads are inherently order-dependent and excluded from that parity: a
-//!   loop-back consumer in a different shard than its producer observes the producer's
-//!   step-N outputs after its own poll (post-barrier) instead of interleaved with it —
-//!   still deterministic for a fixed worker count, but not identical to `workers = 1`;
-//!   and a registered query joining tables of concurrently executing sensors reads
-//!   whatever those tables hold mid-step, which may vary run to run.
+//! A step runs on the caller's thread, start to finish.  The container spawns no thread
+//! of its own.  Within a step, sensors run in name order.  Each sensor polls its
+//! wrappers and processes every arrival in arrival order.  An output a local consumer
+//! reads through a loop-back `wrapper="remote"` source runs that consumer's pipeline
+//! inline, depth first, before the producer's next arrival, so a chain `a → b → c`
+//! delivers `a`'s arrival to `c` in the same step whatever the sensors' names.  The step
+//! then prunes, group-commits the WAL and, every
+//! [`ContainerConfig::maintenance_interval_steps`] steps, runs the storage maintenance
+//! pass inline.  The same inputs therefore always give the same outputs, tables and
+//! notification order.  The locks that remain serve the container's `&self` APIs
+//! (queries, cursors, subscriptions, status), which may run while a step holds tables
+//! open.
 //!
 //! ## The federation wire
 //!
@@ -81,9 +53,7 @@ use gsn_telemetry::{
     evaluate as evaluate_health, AssembledTrace, HealthSummary, MetricsRegistry, MetricsSnapshot,
     SlowQuery, SlowQueryLog, SpanId, Stopwatch, TraceLog,
 };
-use gsn_types::{
-    Clock, EpochCell, GsnError, GsnResult, NodeId, StreamElement, Timestamp, VirtualSensorName,
-};
+use gsn_types::{Clock, GsnError, GsnResult, NodeId, StreamElement, Timestamp, VirtualSensorName};
 use gsn_wrappers::WrapperRegistry;
 use gsn_xml::VirtualSensorDescriptor;
 use parking_lot::Mutex;
@@ -91,11 +61,7 @@ use parking_lot::Mutex;
 use crate::config::ContainerConfig;
 use crate::cursor::QueryCursor;
 use crate::notification::{Notification, NotificationManager, NotificationStats, SubscriptionId};
-use crate::pool::WorkerPool;
-use crate::query::{
-    shard_index, ClientQueryId, ClientQueryResult, QueryManagerStats, QueryPartitionStatus,
-    QueryRepository,
-};
+use crate::query::{ClientQueryId, ClientQueryResult, QueryManagerStats, QueryRepository};
 use crate::sensor::{SensorStats, SourceRef, VirtualSensor};
 use crate::telemetry::{ContainerTelemetry, SourcedMetrics, SourcedTotals};
 use exchange::Exchanges;
@@ -162,10 +128,8 @@ pub struct ContainerStatus {
     pub storage: StorageStats,
     /// Notification statistics.
     pub notifications: NotificationStats,
-    /// Query repository statistics, merged across partitions.
+    /// Query repository statistics.
     pub queries: QueryManagerStats,
-    /// Per-partition query repository statistics (one partition per step-loop shard).
-    pub query_partitions: Vec<QueryPartitionStatus>,
     /// SQL engine statistics (compilation cache plus the scanned/returned row counters
     /// of the pull-based executor).
     pub engine: gsn_sql::EngineStats,
@@ -173,10 +137,6 @@ pub struct ContainerStatus {
     pub registered_queries: usize,
     /// Wrapper kinds available on this container.
     pub wrapper_kinds: Vec<String>,
-    /// Step-loop worker threads (1 = sequential).
-    pub workers: usize,
-    /// `(submitted, completed)` job counts of the step-loop worker pool, when sharded.
-    pub pool_jobs: Option<(u64, u64)>,
     /// The health model's verdict per subsystem, evaluated over `metrics`.
     pub health: HealthSummary,
     /// The full metrics snapshot the status numbers derive from (incremental-vs-full
@@ -216,13 +176,6 @@ impl ContainerStatus {
                 self.storage.maintenance.passes, self.storage.maintenance.reclaim
             ));
         }
-        match self.pool_jobs {
-            Some((submitted, completed)) => out.push_str(&format!(
-                "  step loop: {} workers ({submitted} shard jobs submitted, {completed} completed)\n",
-                self.workers
-            )),
-            None => out.push_str("  step loop: sequential (1 worker)\n"),
-        }
         let counter = |name: &str| {
             self.metrics
                 .get(name)
@@ -261,20 +214,6 @@ impl ContainerStatus {
                 }
             ));
         }
-        if self.query_partitions.len() > 1 {
-            for p in &self.query_partitions {
-                if p.registered == 0 && p.stats.registered_evaluated == 0 {
-                    continue;
-                }
-                out.push_str(&format!(
-                    "    query partition {}: {} registered, {} evaluated ({} failed)\n",
-                    p.partition,
-                    p.registered,
-                    p.stats.registered_evaluated,
-                    p.stats.registered_failed
-                ));
-            }
-        }
         out.push_str(&format!(
             "  query executor: {} rows scanned / {} rows returned ({} plans compiled, {} cache hits)\n",
             self.engine.rows_scanned,
@@ -309,193 +248,147 @@ impl ContainerStatus {
     }
 }
 
-/// A deployed sensor shared between the container and the step-loop workers.
-type SharedSensor = Arc<Mutex<VirtualSensor>>;
+/// Local consumers of each producing sensor (lower-cased name), fed through their
+/// `wrapper="remote"` sources: a remote producer's deliveries arrive over the network, a
+/// local one's take the loop-back route inside the step.
+type RemoteRoutes = HashMap<String, Vec<(VirtualSensorName, SourceRef)>>;
 
-/// The sensors visible to one pipeline execution context: the full container map on the
-/// sequential paths, one shard on a worker.
-type SensorView = BTreeMap<VirtualSensorName, SharedSensor>;
-
-/// The container state the per-sensor pipelines share across worker threads.
+/// The container state a step's pipelines use, shared by `Arc` with the cursors
+/// [`GsnContainer::query_cursor`] opens.
 ///
-/// Everything here is internally synchronised; see the module docs for the lock order.
+/// The mutexes here serve the container's `&self` APIs (subscriptions, cursors, status);
+/// the step itself never contends for them.  Lock order: a storage table lock is the
+/// leaf — the query repository reads tables under its own mutex, and nothing takes
+/// the repository or notification mutex while holding a table lock.
 struct PipelineRuntime {
     storage: Arc<StorageManager>,
-    /// Internally partitioned by the step-loop shard hash — no outer mutex: each worker
-    /// shard evaluates its own sensors' registered queries under its own partition lock.
     query_manager: QueryRepository,
     notifications: Mutex<NotificationManager>,
     network: Option<Arc<SimulatedNetwork>>,
-    /// Routes incoming remote deliveries: remote sensor name -> local consumers.
-    /// Epoch-published: the per-element hot path takes an `Arc` snapshot (one pointer
-    /// clone, no lock held across the delivery) and (un)deployments install a new
-    /// generation, so routing lookups never contend with each other or with writers.
-    remote_routes: EpochCell<HashMap<String, Vec<(VirtualSensorName, SourceRef)>>>,
-    /// Structured span log shared with the step-loop workers; disabled (one relaxed
-    /// load per would-be span, no allocation) unless `ContainerConfig::trace_enabled`.
+    /// Structured span log; disabled (one relaxed load per would-be span, no
+    /// allocation) unless `ContainerConfig::trace_enabled`.
     trace: Arc<TraceLog>,
 }
 
-/// What one shard's pipeline pass produced: its slice of the step report plus loop-back
-/// deliveries whose consumer lives in another shard (processed sequentially after the
-/// barrier, in shard order, so the result is deterministic).
-#[derive(Default)]
-struct ShardOutcome {
+/// One step's pipeline work: the sensors it advances, the loop-back routes between
+/// them, and the report it fills.
+struct Pipelines<'a> {
+    runtime: &'a PipelineRuntime,
+    sensors: &'a mut BTreeMap<VirtualSensorName, VirtualSensor>,
+    routes: &'a RemoteRoutes,
+    now: Timestamp,
     report: StepReport,
-    deferred: Vec<(VirtualSensorName, SourceRef, StreamElement)>,
 }
 
-/// Stable shard assignment for sensors: the same normalised FNV-1a hash
-/// ([`shard_index`]) the query repository partitions by, so a sensor's worker shard and
-/// the partition holding the queries over its output table coincide.
-fn sensor_shard(name: &VirtualSensorName, shards: usize) -> usize {
-    shard_index(name.as_str(), shards)
-}
-
-/// Runs one sensor's full pipeline pass: poll local wrappers, process each arrival,
-/// check for silent sources.
-fn pipeline_sensor(
-    runtime: &PipelineRuntime,
-    view: &SensorView,
-    name: &VirtualSensorName,
-    now: Timestamp,
-    out: &mut ShardOutcome,
-) {
-    let Some(sensor) = view.get(name) else {
-        return;
-    };
-    let poll_span = runtime.trace.begin("wrapper.poll", SpanId::NONE);
-    let arrivals = sensor.lock().poll_local_sources(now);
-    runtime
-        .trace
-        .finish_with(poll_span, || format!("{name}: {} arrivals", arrivals.len()));
-    for (source_ref, element) in arrivals {
-        out.report.local_arrivals += 1;
-        process_one(runtime, view, name, source_ref, element, now, out);
+impl Pipelines<'_> {
+    /// Runs one sensor's full pipeline pass: poll local wrappers, process each arrival,
+    /// check for silent sources.
+    fn run_sensor(&mut self, name: &VirtualSensorName) {
+        let trace = &self.runtime.trace;
+        let Some(sensor) = self.sensors.get_mut(name) else {
+            return;
+        };
+        let poll_span = trace.begin("wrapper.poll", SpanId::NONE);
+        let arrivals = sensor.poll_local_sources(self.now);
+        trace.finish_with(poll_span, || format!("{name}: {} arrivals", arrivals.len()));
+        for (source_ref, element) in arrivals {
+            self.report.local_arrivals += 1;
+            self.process_one(name, source_ref, element);
+        }
+        // Stream-quality: silence detection.
+        if let Some(sensor) = self.sensors.get_mut(name) {
+            self.report.silence_events += sensor.check_silence(self.now).len() as u64;
+        }
     }
-    // Stream-quality: silence detection.
-    if let Some(sensor) = view.get(name) {
-        let newly_silent = sensor.lock().check_silence(now);
-        out.report.silence_events += newly_silent.len() as u64;
-    }
-}
 
-/// Processes a single element arrival for one sensor/source and fans out the result.
-///
-/// The sensor's mutex is released before the fan-out, so loop-back recursion into a
-/// consumer sensor never holds two sensor locks at once.
-fn process_one(
-    runtime: &PipelineRuntime,
-    view: &SensorView,
-    name: &VirtualSensorName,
-    source_ref: SourceRef,
-    element: StreamElement,
-    now: Timestamp,
-    out: &mut ShardOutcome,
-) {
-    let Some(sensor) = view.get(name) else {
-        return;
-    };
-    // One root span per element arrival; the pipeline/query/notification children hang
-    // off it, reconstructing the paper's wrapper → pipeline → storage → notification
-    // flow for a single element.
-    let element_span = runtime.trace.begin("element", SpanId::NONE);
-    let pipeline_span = runtime.trace.begin("pipeline", element_span.id());
-    let (outcome, elapsed_micros, output_table) = {
-        let mut guard = sensor.lock();
-        let before = guard.stats().total_processing_micros;
-        let outcome = guard.process_arrival(source_ref, element, now, &runtime.storage);
-        let elapsed = guard.stats().total_processing_micros - before;
-        (outcome, elapsed, guard.output_table().to_owned())
-    };
-    runtime
-        .trace
-        .finish_with(pipeline_span, || format!("{name} -> {output_table}"));
-    out.report.processing_micros += elapsed_micros;
-    match outcome {
-        Ok(Some(output)) => {
-            out.report.outputs += 1;
-            // Registered client queries over this sensor's output.
-            let query_span = runtime.trace.begin("query.evaluate", element_span.id());
-            let results =
+    /// Processes a single element arrival for one sensor/source and fans out the result:
+    /// registered queries, notifications, then local loop-back consumers, inline.
+    fn process_one(
+        &mut self,
+        name: &VirtualSensorName,
+        source_ref: SourceRef,
+        element: StreamElement,
+    ) {
+        let runtime = self.runtime;
+        let now = self.now;
+        let Some(sensor) = self.sensors.get_mut(name) else {
+            return;
+        };
+        // One root span per element arrival; the pipeline/query/notification children
+        // hang off it, reconstructing the paper's wrapper → pipeline → storage →
+        // notification flow for a single element.
+        let element_span = runtime.trace.begin("element", SpanId::NONE);
+        let pipeline_span = runtime.trace.begin("pipeline", element_span.id());
+        let before = sensor.stats().total_processing_micros;
+        let outcome = sensor.process_arrival(source_ref, element, now, &runtime.storage);
+        self.report.processing_micros += sensor.stats().total_processing_micros - before;
+        let output_table = sensor.output_table().to_owned();
+        runtime
+            .trace
+            .finish_with(pipeline_span, || format!("{name} -> {output_table}"));
+        match outcome {
+            Ok(Some(output)) => {
+                self.report.outputs += 1;
+                // Registered client queries over this sensor's output.
+                let query_span = runtime.trace.begin("query.evaluate", element_span.id());
+                let results =
+                    runtime
+                        .query_manager
+                        .evaluate_for_table(&output_table, &runtime.storage, now);
+                self.report.client_query_evaluations += results.len() as u64;
+                runtime.trace.finish_with(query_span, || {
+                    format!("{}: {} evaluations", output_table, results.len())
+                });
+                deliver_client_results(runtime, results, now);
+                // Local + remote notifications.
+                let notify_span = runtime.trace.begin("notification", element_span.id());
+                runtime.notifications.lock().notify(
+                    name.as_str(),
+                    &output,
+                    now,
+                    runtime.network.as_deref(),
+                );
                 runtime
-                    .query_manager
-                    .evaluate_for_table(&output_table, &runtime.storage, now);
-            out.report.client_query_evaluations += results.len() as u64;
-            runtime.trace.finish_with(query_span, || {
-                format!("{}: {} evaluations", output_table, results.len())
-            });
-            deliver_client_results(runtime, results, now);
-            // Local + remote notifications.
-            let notify_span = runtime.trace.begin("notification", element_span.id());
-            runtime.notifications.lock().notify(
-                name.as_str(),
-                &output,
-                now,
-                runtime.network.as_deref(),
-            );
-            runtime
-                .trace
-                .finish_with(notify_span, || name.as_str().to_owned());
-            // Local loop-back remote routes (a sensor on this node consuming another
-            // local sensor through the `remote` wrapper).  Snapshot semantics: the
-            // routes as of this element's delivery; a concurrent (un)deploy publishes
-            // a new generation that later elements see.
-            let local_routes = runtime.remote_routes.load();
-            for (consumer, consumer_ref) in local_routes.get(name.as_str()).into_iter().flatten() {
-                if consumer == name {
-                    continue;
-                }
-                if view.contains_key(consumer) {
-                    out.report.remote_arrivals += 1;
-                    deliver_remote(
-                        runtime,
-                        view,
-                        consumer,
-                        *consumer_ref,
-                        output.clone(),
-                        now,
-                        out,
-                    );
-                } else {
-                    // The consumer lives in another shard (or was undeployed): hand the
-                    // delivery back for the sequential post-barrier phase.
-                    out.deferred
-                        .push((consumer.clone(), *consumer_ref, output.clone()));
+                    .trace
+                    .finish_with(notify_span, || name.as_str().to_owned());
+                // Local loop-back routes: a sensor on this node consuming this one
+                // through the `remote` wrapper runs on the output now.
+                let routes = self.routes;
+                for (consumer, consumer_ref) in routes.get(name.as_str()).into_iter().flatten() {
+                    if consumer != name {
+                        self.report.remote_arrivals += 1;
+                        self.deliver_remote(consumer, *consumer_ref, output.clone());
+                    }
                 }
             }
+            Ok(None) => {}
+            Err(_) => self.report.errors += 1,
         }
-        Ok(None) => {}
-        Err(_) => out.report.errors += 1,
+        runtime
+            .trace
+            .finish_with(element_span, || name.as_str().to_owned());
     }
-    runtime
-        .trace
-        .finish_with(element_span, || name.as_str().to_owned());
-}
 
-/// Handles one element delivered for a remote route (a local consumer of a remote or
-/// loop-back producer).
-fn deliver_remote(
-    runtime: &PipelineRuntime,
-    view: &SensorView,
-    consumer: &VirtualSensorName,
-    source_ref: SourceRef,
-    element: StreamElement,
-    now: Timestamp,
-    out: &mut ShardOutcome,
-) {
-    let Some(sensor) = view.get(consumer) else {
-        return;
-    };
-    if sensor
-        .lock()
-        .ensure_remote_schema(source_ref, &element, &runtime.storage)
-        .is_err()
-    {
-        out.report.errors += 1;
-        return;
+    /// Handles one element delivered for a remote route (a local consumer of a remote or
+    /// loop-back producer).
+    fn deliver_remote(
+        &mut self,
+        consumer: &VirtualSensorName,
+        source_ref: SourceRef,
+        element: StreamElement,
+    ) {
+        let Some(sensor) = self.sensors.get_mut(consumer) else {
+            return;
+        };
+        if sensor
+            .ensure_remote_schema(source_ref, &element, &self.runtime.storage)
+            .is_err()
+        {
+            self.report.errors += 1;
+            return;
+        }
+        self.process_one(consumer, source_ref, element);
     }
-    process_one(runtime, view, consumer, source_ref, element, now, out);
 }
 
 /// Routes client-query results to their subscribers (modelled as notifications on the
@@ -530,9 +423,8 @@ pub struct GsnContainer {
     clock: Arc<dyn Clock>,
     registry: Arc<WrapperRegistry>,
     runtime: Arc<PipelineRuntime>,
-    sensors: BTreeMap<VirtualSensorName, SharedSensor>,
-    /// The step-loop worker pool; `None` when `workers <= 1` (sequential semantics).
-    pool: Option<WorkerPool>,
+    sensors: BTreeMap<VirtualSensorName, VirtualSensor>,
+    remote_routes: RemoteRoutes,
     access: AccessController,
     /// Remote subscriptions this container requested, re-sent until acknowledged.
     pending_subscriptions: Vec<PendingSubscription>,
@@ -569,10 +461,9 @@ impl std::fmt::Debug for GsnContainer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "GsnContainer({}, {} sensors, {} workers)",
+            "GsnContainer({}, {} sensors)",
             self.config.name,
-            self.sensors.len(),
-            self.pool.as_ref().map(WorkerPool::size).unwrap_or(1),
+            self.sensors.len()
         )
     }
 }
@@ -604,8 +495,6 @@ impl GsnContainer {
         clock: Arc<dyn Clock>,
         network: Option<Arc<SimulatedNetwork>>,
     ) -> GsnContainer {
-        let pool = (config.workers > 1)
-            .then(|| WorkerPool::new(&format!("{}-step", config.name), config.workers));
         let trace = Arc::new(TraceLog::with_capacity(config.trace_capacity));
         trace.set_enabled(config.trace_enabled);
         // Namespace span ids by node so spans collected off different containers
@@ -613,16 +502,12 @@ impl GsnContainer {
         trace.set_id_namespace(config.node_id.as_u64());
         let runtime = Arc::new(PipelineRuntime {
             storage: Arc::new(StorageManager::with_options(config.storage_options())),
-            query_manager: QueryRepository::with_partitions(
-                config.workers.max(1),
-                config.incremental_queries,
-            ),
+            query_manager: QueryRepository::new(config.incremental_queries),
             notifications: Mutex::new(NotificationManager::new(
                 config.node_id,
                 config.disconnect_buffer_capacity,
             )),
             network,
-            remote_routes: EpochCell::new(HashMap::new()),
             trace,
         });
 
@@ -645,7 +530,7 @@ impl GsnContainer {
             registry: Arc::new(WrapperRegistry::with_builtins()),
             runtime,
             sensors: BTreeMap::new(),
-            pool,
+            remote_routes: HashMap::new(),
             access: AccessController::permissive(),
             pending_subscriptions: Vec::new(),
             exchanges: Exchanges::new(telemetry.retransmits_total.clone()),
@@ -714,7 +599,7 @@ impl GsnContainer {
         let key = VirtualSensorName::new(name)?;
         self.sensors
             .get(&key)
-            .map(|s| s.lock().stats())
+            .map(VirtualSensor::stats)
             .ok_or_else(|| GsnError::not_found(format!("virtual sensor `{name}` is not deployed")))
     }
 
@@ -780,55 +665,43 @@ impl GsnContainer {
         // producers.  A producer on this very container needs no subscription: the
         // loop-back route alone delivers its outputs.
         for (producer, remote_sensor, source_ref) in sensor.remote_sources() {
-            self.runtime.remote_routes.update(|routes| {
-                let mut next = routes.clone();
-                next.entry(remote_sensor.to_ascii_lowercase())
-                    .or_default()
-                    .push((name.clone(), source_ref));
-                (next, ())
-            });
+            self.remote_routes
+                .entry(remote_sensor.to_ascii_lowercase())
+                .or_default()
+                .push((name.clone(), source_ref));
             if producer != self.config.node_id {
                 self.subscribe_remote(producer, &remote_sensor);
             }
         }
 
-        self.sensors
-            .insert(name.clone(), Arc::new(Mutex::new(sensor)));
+        self.sensors.insert(name.clone(), sensor);
         Ok(name)
     }
 
     /// Undeploys a virtual sensor, dropping its storage and directory entry.
     pub fn undeploy(&mut self, name: &str) -> GsnResult<()> {
         let key = VirtualSensorName::new(name)?;
-        let sensor = self.sensors.remove(&key).ok_or_else(|| {
+        let mut sensor = self.sensors.remove(&key).ok_or_else(|| {
             GsnError::not_found(format!("virtual sensor `{name}` is not deployed"))
         })?;
-        sensor.lock().teardown(&self.runtime.storage);
+        sensor.teardown(&self.runtime.storage);
         if let Some(mesh) = &self.mesh {
             let _ = mesh.replica.lock().deregister(key.as_str());
         }
-        let (_, orphaned): (u64, Vec<String>) = self.runtime.remote_routes.update(|routes| {
-            let mut next = routes.clone();
-            next.values_mut().for_each(|consumers| {
-                consumers.retain(|(owner, _)| owner != &key);
-            });
-            // Remote sensors no local consumer references any more.
-            let orphaned = next
-                .iter()
-                .filter(|(_, consumers)| consumers.is_empty())
-                .map(|(sensor, _)| sensor.clone())
-                .collect();
-            (next, orphaned)
-        });
+        for consumers in self.remote_routes.values_mut() {
+            consumers.retain(|(owner, _)| owner != &key);
+        }
         // Cancel the subscriptions of remote sensors no local consumer references.
+        let orphaned: Vec<String> = self
+            .remote_routes
+            .iter()
+            .filter(|(_, consumers)| consumers.is_empty())
+            .map(|(sensor, _)| sensor.clone())
+            .collect();
         for sensor in &orphaned {
+            self.remote_routes.remove(sensor);
             self.unsubscribe_remote(sensor);
         }
-        self.runtime.remote_routes.update(|routes| {
-            let mut next = routes.clone();
-            next.retain(|_, consumers| !consumers.is_empty());
-            (next, ())
-        });
         Ok(())
     }
 
@@ -984,8 +857,8 @@ impl GsnContainer {
     // -----------------------------------------------------------------------------------
 
     /// Advances the container to the clock's current time: drains the network, polls local
-    /// wrappers, runs pipelines (sharded across the worker pool when `workers > 1`),
-    /// evaluates registered queries, delivers notifications and group-commits the WALs.
+    /// wrappers, runs pipelines, evaluates registered queries, delivers notifications and
+    /// group-commits the WAL — all on the caller's thread (see the module docs).
     pub fn step(&mut self) -> StepReport {
         let now = self.clock.now();
         let mut report = StepReport::default();
@@ -1013,7 +886,7 @@ impl GsnContainer {
             .network_drain_micros
             .record(drain_watch.elapsed_micros());
 
-        // 2. Local wrapper polling + pipeline execution, sharded across the pool.
+        // 2. Local wrapper polling + pipeline execution, sensor by sensor in name order.
         let pipeline_watch = Stopwatch::start();
         let pipeline_span = self.runtime.trace.begin("step.pipelines", step_span.id());
         report.absorb(self.run_sensor_pipelines(now));
@@ -1036,30 +909,13 @@ impl GsnContainer {
             .record(commit_watch.elapsed_micros());
 
         // 4. Periodic storage maintenance: reclaim file space held by pruned rows
-        // (head-segment deletion, boundary compaction).  Sharded containers run it on
-        // the worker pool so a large compaction never stalls the step; overlapping
-        // passes coalesce inside the manager.  Reclamation only changes the physical
-        // layout — queries re-filter at read time — so workers=1 and workers=N stay
-        // output-identical.
+        // (head-segment deletion, boundary compaction).  Reclamation only changes the
+        // physical layout — queries re-filter at read time — so it never changes an
+        // output.
         self.steps += 1;
         let interval = self.config.maintenance_interval_steps;
         if interval > 0 && self.steps.is_multiple_of(interval) {
-            match &self.pool {
-                Some(pool) => {
-                    let storage = Arc::clone(&self.runtime.storage);
-                    if pool
-                        .submit(move || {
-                            storage.maintain(now);
-                        })
-                        .is_err()
-                    {
-                        report.errors += 1;
-                    }
-                }
-                None => {
-                    self.runtime.storage.maintain(now);
-                }
-            }
+            self.runtime.storage.maintain(now);
         }
         self.runtime.trace.finish(step_span);
         self.telemetry.steps_total.inc();
@@ -1078,94 +934,25 @@ impl GsnContainer {
         self.runtime.storage.maintain(self.clock.now())
     }
 
-    /// Runs every sensor's pipeline pass for this step: inline in name order when
-    /// sequential, sharded across the worker pool otherwise (see the module docs).
+    /// The pipeline work of a step at `now`, over every deployed sensor.
+    fn pipelines(&mut self, now: Timestamp) -> Pipelines<'_> {
+        Pipelines {
+            runtime: &self.runtime,
+            sensors: &mut self.sensors,
+            routes: &self.remote_routes,
+            now,
+            report: StepReport::default(),
+        }
+    }
+
+    /// Runs every sensor's pipeline pass for this step, in name order.
     fn run_sensor_pipelines(&mut self, now: Timestamp) -> StepReport {
-        let shard_count = self.pool.as_ref().map(WorkerPool::size).unwrap_or(1);
-        if shard_count <= 1 || self.sensors.len() <= 1 {
-            // Sequential semantics: identical to the pre-sharding loop. The full view
-            // means loop-back deliveries recurse inline and nothing is deferred.
-            let mut out = ShardOutcome::default();
-            let names: Vec<VirtualSensorName> = self.sensors.keys().cloned().collect();
-            for name in &names {
-                pipeline_sensor(&self.runtime, &self.sensors, name, now, &mut out);
-            }
-            debug_assert!(out.deferred.is_empty());
-            return out.report;
+        let names: Vec<VirtualSensorName> = self.sensors.keys().cloned().collect();
+        let mut pipelines = self.pipelines(now);
+        for name in &names {
+            pipelines.run_sensor(name);
         }
-
-        let mut shards: Vec<SensorView> = (0..shard_count).map(|_| BTreeMap::new()).collect();
-        for (name, sensor) in &self.sensors {
-            shards[sensor_shard(name, shard_count)].insert(name.clone(), Arc::clone(sensor));
-        }
-        let pool = self.pool.as_ref().expect("worker pool present");
-        let (tx, rx) = crossbeam::channel::unbounded::<(usize, ShardOutcome)>();
-        let mut submitted = 0usize;
-        let mut report = StepReport::default();
-        for (idx, shard) in shards.into_iter().enumerate() {
-            if shard.is_empty() {
-                continue;
-            }
-            let runtime = Arc::clone(&self.runtime);
-            let tx = tx.clone();
-            let job = move || {
-                let mut out = ShardOutcome::default();
-                let names: Vec<VirtualSensorName> = shard.keys().cloned().collect();
-                for name in &names {
-                    pipeline_sensor(&runtime, &shard, name, now, &mut out);
-                }
-                let _ = tx.send((idx, out));
-            };
-            match pool.submit(job) {
-                Ok(()) => submitted += 1,
-                // Unreachable while the container is alive (the pool only shuts down on
-                // drop); surface it rather than losing the shard silently.
-                Err(_) => report.errors += 1,
-            }
-        }
-        drop(tx);
-
-        // Barrier: collect every shard's outcome, then merge in shard-index order so the
-        // aggregate report and the deferred-delivery order are deterministic.  A shard
-        // whose job panicked sends nothing (its sender drops with the unwound job); the
-        // channel disconnects once every job finished, and the deficit is an error.
-        let mut outcomes: Vec<(usize, ShardOutcome)> = Vec::with_capacity(submitted);
-        for _ in 0..submitted {
-            match rx.recv() {
-                Ok(pair) => outcomes.push(pair),
-                Err(_) => break,
-            }
-        }
-        report.errors += (submitted - outcomes.len()) as u64;
-        outcomes.sort_by_key(|(idx, _)| *idx);
-        let mut deferred = Vec::new();
-        for (_, out) in outcomes {
-            report.absorb(out.report);
-            deferred.extend(out.deferred);
-        }
-
-        // Sequential post-barrier phase: cross-shard loop-back deliveries run against
-        // the full sensor map, so nested fan-out recurses inline.
-        let post_barrier_watch = Stopwatch::start();
-        for (consumer, source_ref, element) in deferred {
-            report.remote_arrivals += 1;
-            let mut out = ShardOutcome::default();
-            deliver_remote(
-                &self.runtime,
-                &self.sensors,
-                &consumer,
-                source_ref,
-                element,
-                now,
-                &mut out,
-            );
-            debug_assert!(out.deferred.is_empty());
-            report.absorb(out.report);
-        }
-        self.telemetry
-            .post_barrier_micros
-            .record(post_barrier_watch.elapsed_micros());
-        report
+        pipelines.report
     }
 
     // -----------------------------------------------------------------------------------
@@ -1272,7 +1059,6 @@ impl GsnContainer {
     /// A point-in-time status snapshot.
     pub fn status(&self) -> ContainerStatus {
         let (queries, engine) = self.runtime.query_manager.stats();
-        let query_partitions = self.runtime.query_manager.partition_status();
         let registered_queries = self.runtime.query_manager.registered_count();
         let notifications = self.runtime.notifications.lock().stats();
         let metrics = self.metrics_snapshot();
@@ -1288,28 +1074,22 @@ impl GsnContainer {
             sensors: self
                 .sensors
                 .iter()
-                .map(|(n, s)| {
-                    let guard = s.lock();
-                    SensorStatus {
-                        name: n.as_str().to_owned(),
-                        stats: guard.stats(),
-                        silence_episodes: guard
-                            .source_quality()
-                            .iter()
-                            .map(|(_, _, q)| q.silence_episodes)
-                            .sum(),
-                    }
+                .map(|(n, s)| SensorStatus {
+                    name: n.as_str().to_owned(),
+                    stats: s.stats(),
+                    silence_episodes: s
+                        .source_quality()
+                        .iter()
+                        .map(|(_, _, q)| q.silence_episodes)
+                        .sum(),
                 })
                 .collect(),
             storage: self.runtime.storage.stats(),
             notifications,
             queries,
-            query_partitions,
             engine,
             registered_queries,
             wrapper_kinds: self.registry.kinds(),
-            workers: self.pool.as_ref().map(WorkerPool::size).unwrap_or(1),
-            pool_jobs: self.pool.as_ref().map(WorkerPool::stats),
             health,
             metrics,
         }
@@ -1394,36 +1174,7 @@ mod tests {
 
         let status = container.status();
         assert_eq!(status.sensors.len(), 1);
-        assert_eq!(status.workers, 1);
-        assert!(status.pool_jobs.is_none());
         assert!(status.render().contains("room-temp"));
-        assert!(status.render().contains("sequential"));
-    }
-
-    #[test]
-    fn sharded_step_uses_the_worker_pool() {
-        let clock = SimulatedClock::new();
-        let config = ContainerConfig::default().with_workers(4);
-        let mut container = GsnContainer::new(config, Arc::new(clock.clone()));
-        for i in 0..8 {
-            container
-                .deploy(mote_descriptor(&format!("mote-{i}"), 100))
-                .unwrap();
-        }
-        clock.advance(gsn_types::Duration::from_secs(1));
-        let report = container.step();
-        assert_eq!(report.local_arrivals, 80);
-        assert_eq!(report.outputs, 80);
-        assert_eq!(report.errors, 0);
-
-        let status = container.status();
-        assert_eq!(status.workers, 4);
-        // The step barrier waits for every shard's result; the pool's completion counter
-        // ticks just after the result is sent, so it may trail by a hair.
-        let (submitted, completed) = status.pool_jobs.unwrap();
-        assert!(submitted > 0);
-        assert!(completed <= submitted);
-        assert!(status.render().contains("step loop: 4 workers"));
     }
 
     #[test]
@@ -1667,30 +1418,5 @@ mod tests {
         // Failed deployment leaves nothing behind.
         assert!(container.sensor_names().is_empty());
         assert!(container.storage().table_names().is_empty());
-    }
-
-    #[test]
-    fn shard_assignment_is_stable_and_total() {
-        let names: Vec<VirtualSensorName> = (0..64)
-            .map(|i| VirtualSensorName::new(&format!("sensor-{i}")).unwrap())
-            .collect();
-        for shards in [1usize, 2, 4, 8] {
-            for name in &names {
-                let a = sensor_shard(name, shards);
-                let b = sensor_shard(name, shards);
-                assert_eq!(a, b);
-                assert!(a < shards);
-            }
-        }
-        // All shards get some work on a reasonably sized population.
-        let hit: std::collections::HashSet<usize> =
-            names.iter().map(|n| sensor_shard(n, 4)).collect();
-        assert_eq!(hit.len(), 4);
-        // Sensors and their output tables co-locate: the query partition of a sensor's
-        // output table is the sensor's own worker shard.
-        for name in &names {
-            let table = VirtualSensor::output_table_name(name);
-            assert_eq!(sensor_shard(name, 4), shard_index(&table, 4));
-        }
     }
 }

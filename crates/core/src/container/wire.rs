@@ -12,7 +12,7 @@ use gsn_network::{
 };
 use gsn_types::{GsnError, GsnResult, NodeId, Timestamp};
 
-use super::{deliver_remote, GsnContainer, ShardOutcome, StepReport};
+use super::{GsnContainer, StepReport};
 
 /// A remote subscription this container requested.  Un-acked subscriptions are re-sent
 /// on every step so that a lost `Subscribe` (lossy link, partition during deployment)
@@ -44,9 +44,9 @@ impl GsnContainer {
 
     /// Drains the simulated network inbox, dispatching each frame to its handler.
     pub(super) fn drain_network(&mut self, now: Timestamp) -> StepReport {
-        let mut out = ShardOutcome::default();
+        let mut report = StepReport::default();
         let Some(network) = self.runtime.network.clone() else {
-            return out.report;
+            return report;
         };
         for Envelope { from, message, .. } in network.receive(self.config.node_id, now) {
             match message {
@@ -56,7 +56,7 @@ impl GsnContainer {
                 Message::SubscribeAck { request, .. } => self.accept_subscribe_ack(request),
                 Message::Unsubscribe { sensor } => self.serve_unsubscribe(from, &sensor),
                 Message::StreamDelivery { sensor, element } => {
-                    self.accept_delivery(from, &sensor, element, now, &mut out)
+                    report.absorb(self.accept_delivery(from, &sensor, element, now))
                 }
                 Message::Ping { request } => {
                     self.send(from, Message::Pong { request }, now);
@@ -127,8 +127,7 @@ impl GsnContainer {
                 }
             }
         }
-        debug_assert!(out.deferred.is_empty());
-        out.report
+        report
     }
 
     /// Subscribes this node to `sensor` on the remote `producer`.
@@ -220,41 +219,35 @@ impl GsnContainer {
             .remove_remote_subscriber(from, sensor);
     }
 
-    /// Routes one remote element to every local consumer of `sensor`.  An element no
-    /// local sensor consumes any more means the `Unsubscribe` sent at undeploy was lost:
-    /// it is answered with another, which is idempotent, so the producer stops as soon
-    /// as one gets through.
+    /// Routes one remote element to every local consumer of `sensor`, running their
+    /// pipelines inline.  An element no local sensor consumes any more means the
+    /// `Unsubscribe` sent at undeploy was lost: it is answered with another, which is
+    /// idempotent, so the producer stops as soon as one gets through.
     fn accept_delivery(
-        &self,
+        &mut self,
         from: NodeId,
         sensor: &str,
         element: WireElement,
         now: Timestamp,
-        out: &mut ShardOutcome,
-    ) {
-        let routes = self.runtime.remote_routes.load();
-        let Some(consumers) = routes.get(&sensor.to_ascii_lowercase()) else {
+    ) -> StepReport {
+        let key = sensor.to_ascii_lowercase();
+        if !self.remote_routes.contains_key(&key) {
             let unsubscribe = Message::Unsubscribe {
                 sensor: sensor.to_owned(),
             };
             self.send(from, unsubscribe, now);
-            return;
-        };
-        let Ok(element) = element.into_element() else {
-            out.report.errors += 1;
-            return;
-        };
-        for (consumer, source_ref) in consumers {
-            out.report.remote_arrivals += 1;
-            deliver_remote(
-                &self.runtime,
-                &self.sensors,
-                consumer,
-                *source_ref,
-                element.clone(),
-                now,
-                out,
-            );
+            return StepReport::default();
         }
+        let mut pipelines = self.pipelines(now);
+        let Ok(element) = element.into_element() else {
+            pipelines.report.errors += 1;
+            return pipelines.report;
+        };
+        let routes = pipelines.routes;
+        for (consumer, source_ref) in &routes[&key] {
+            pipelines.report.remote_arrivals += 1;
+            pipelines.deliver_remote(consumer, *source_ref, element.clone());
+        }
+        pipelines.report
     }
 }

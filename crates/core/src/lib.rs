@@ -39,7 +39,6 @@
 //! * [`ism`] — the input stream manager (stream quality, rate bounding).
 //! * [`query`] — the query manager (query processor + query repository).
 //! * [`notification`] — the notification manager.
-//! * [`pool`] — worker pools backing `<life-cycle pool-size="N">`.
 //! * [`federation`] — the multi-node harness (peer-to-peer overlay of containers).
 //! * [`telemetry`] — the container's metric descriptors and instrument handles.
 
@@ -52,7 +51,6 @@ pub mod cursor;
 pub mod federation;
 pub mod ism;
 pub mod notification;
-pub mod pool;
 pub mod query;
 pub mod sensor;
 pub mod telemetry;
@@ -63,10 +61,8 @@ pub use cursor::QueryCursor;
 pub use federation::Mesh;
 pub use ism::{QualityPolicy, RateLimiter, SourceMonitor, SourceQuality};
 pub use notification::{Notification, NotificationManager, NotificationStats, SubscriptionId};
-pub use pool::WorkerPool;
 pub use query::{
-    shard_index, ClientQuery, ClientQueryId, ClientQueryResult, QueryManagerStats,
-    QueryPartitionStatus, QueryRepository,
+    ClientQuery, ClientQueryId, ClientQueryResult, QueryManagerStats, QueryRepository,
 };
 pub use sensor::{SensorStats, SourceKind, VirtualSensor};
 pub use telemetry::{ContainerTelemetry, QueryTelemetry, SourcedMetrics, SourcedTotals};

@@ -10,47 +10,31 @@
 //! Registered client queries are the workload of the paper's Figure 4 experiment: N
 //! clients each register a filtering query over a virtual sensor's output; every new
 //! output element causes all affected queries to be (re-)executed and their results
-//! delivered.  Two design decisions keep that inner loop off the container's critical
-//! path:
-//!
-//! * **Incremental evaluation.**  Each registered query caches its catalog views at
-//!   registration time and, when the plan shape allows it, holds a resident
-//!   [`ContinuousPlan`]: per element, only the *delta* rows since the query's last-seen
-//!   storage sequence are read (through the storage layer's delta cursor) and folded
-//!   into running operator state, with window-slide retraction on the other end.  Plans
-//!   the incremental executor cannot maintain (joins, sorts, `DISTINCT`, subqueries, …)
-//!   fall back transparently to full re-evaluation over the live catalog.  Per-element
-//!   cost drops from `O(window × queries)` to `O(delta × affected-queries)`.
-//! * **A sharded repository.**  Queries live in partitions keyed by the same stable
-//!   FNV hash (of the normalised table name) that assigns sensors to step-loop worker
-//!   shards, so each worker evaluates its own sensors' registered queries under its own
-//!   partition lock — no cross-shard serialisation on the hot path.  A query reading
-//!   several tables is pinned to its first table's partition and is the only case where
-//!   another shard's output must take a foreign partition lock.
+//! delivered.  **Incremental evaluation** keeps that inner loop cheap: each registered
+//! query caches its catalog views at registration time and, when the plan shape allows
+//! it, holds a resident [`ContinuousPlan`].  Per element, only the *delta* rows since the
+//! query's last-seen storage sequence are read (through the storage layer's delta
+//! cursor) and folded into running operator state, with window-slide retraction on the
+//! other end.  Plans the incremental executor cannot maintain (joins, sorts, `DISTINCT`,
+//! subqueries, …) fall back transparently to full re-evaluation over the live catalog.
+//! Per-element cost drops from `O(window × queries)` to `O(delta × affected-queries)`.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
-use gsn_sql::{
-    ContinuousPlan, EngineStats, OptimizerConfig, PreparedQuery, Relation, SqlEngine, WindowBound,
-};
+use gsn_sql::{ContinuousPlan, EngineStats, PreparedQuery, Relation, SqlEngine, WindowBound};
 use gsn_storage::{
     sampling_stride, CatalogView, LiveCatalog, ScanBounds, StorageManager, StreamTable, WindowSpec,
 };
 use gsn_telemetry::{SlowQuery, SlowQueryLog, Stopwatch};
-use gsn_types::{EpochCell, GsnError, GsnResult, StreamElement, Timestamp};
-use parking_lot::{Mutex, RwLock};
+use gsn_types::{GsnError, GsnResult, StreamElement, Timestamp};
+use parking_lot::Mutex;
 
 use crate::telemetry::QueryTelemetry;
 
 /// Identifies a registered client query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ClientQueryId(pub u64);
-
-/// Stable shard assignment shared by the step loop (sensor names), the query
-/// repository (table names) and the WAL shards (durable table names).
-pub use gsn_storage::shard_index;
 
 /// A query registered by a client (subscription-style continuous query).
 #[derive(Debug, Clone)]
@@ -149,7 +133,7 @@ pub struct ClientQueryResult {
     pub evaluated_at: Timestamp,
 }
 
-/// Statistics of the query repository (or one of its partitions).
+/// Statistics of the query repository.
 ///
 /// The incremental-vs-fallback split is *not* duplicated here: those counts live only
 /// in the repository's shared [`QueryTelemetry`] cells (see
@@ -163,111 +147,6 @@ pub struct QueryManagerStats {
     pub registered_evaluated: u64,
     /// Registered-query evaluations that failed.
     pub registered_failed: u64,
-}
-
-impl QueryManagerStats {
-    /// Adds another partition's counters into this one.
-    pub fn absorb(&mut self, other: &QueryManagerStats) {
-        self.adhoc_executed += other.adhoc_executed;
-        self.registered_evaluated += other.registered_evaluated;
-        self.registered_failed += other.registered_failed;
-    }
-}
-
-/// Point-in-time view of one repository partition (surfaced in `ContainerStatus`).
-#[derive(Debug, Clone)]
-pub struct QueryPartitionStatus {
-    /// The partition index (== the step-loop shard it is aligned with).
-    pub partition: usize,
-    /// Queries registered in this partition.
-    pub registered: usize,
-    /// The partition's counters.
-    pub stats: QueryManagerStats,
-}
-
-/// One partition of the repository: its registered queries, their table index, and a
-/// private SQL engine (prepared-plan cache + fallback executor).
-#[derive(Debug)]
-struct QueryPartition {
-    engine: SqlEngine,
-    repository: HashMap<ClientQueryId, ClientQuery>,
-    /// Index from output-table name to the queries that read it, registration order.
-    by_table: HashMap<String, Vec<ClientQueryId>>,
-    stats: QueryManagerStats,
-}
-
-impl QueryPartition {
-    fn new() -> QueryPartition {
-        QueryPartition {
-            engine: SqlEngine::new(),
-            repository: HashMap::new(),
-            by_table: HashMap::new(),
-            stats: QueryManagerStats::default(),
-        }
-    }
-
-    /// Evaluates this partition's queries reading `table`, appending to `out`.
-    #[allow(clippy::too_many_arguments)]
-    fn evaluate_for_table(
-        &mut self,
-        table: &str,
-        storage: &StorageManager,
-        now: Timestamp,
-        incremental_enabled: bool,
-        telemetry: &QueryTelemetry,
-        slow_log: &SlowQueryLog,
-        out: &mut Vec<ClientQueryResult>,
-    ) {
-        let ids = self.by_table.get(table).cloned().unwrap_or_default();
-        for id in ids {
-            let Some(query) = self.repository.get_mut(&id) else {
-                continue;
-            };
-            let watch = Stopwatch::start();
-            let incremental = if incremental_enabled {
-                try_incremental(query, storage, now)
-            } else {
-                None
-            };
-            let outcome = match incremental {
-                Some(relation) => {
-                    telemetry.incremental_evaluated.inc();
-                    Ok(relation)
-                }
-                None => {
-                    // Full re-evaluation over the live catalog, with the views cached
-                    // at registration time (no per-element catalog rebuild).
-                    telemetry.fallback_evaluated.inc();
-                    let catalog = LiveCatalog::new(storage, &query.views, now);
-                    self.engine.execute_prepared(&query.prepared, &catalog)
-                }
-            };
-            let micros = watch.elapsed_micros();
-            telemetry.eval_micros.record(micros);
-            match outcome {
-                Ok(relation) => {
-                    self.stats.registered_evaluated += 1;
-                    slow_log.observe(micros, || SlowQuery {
-                        sql: query.sql.clone(),
-                        micros,
-                        explain: query.prepared.explain(),
-                        rows_scanned: 0,
-                        rows_returned: relation.row_count() as u64,
-                        hops: Vec::new(),
-                    });
-                    out.push(ClientQueryResult {
-                        query_id: id,
-                        client: query.client.clone(),
-                        relation,
-                        evaluated_at: now,
-                    });
-                }
-                Err(_) => {
-                    self.stats.registered_failed += 1;
-                }
-            }
-        }
-    }
 }
 
 /// Attempts the incremental path for one query: compiles the resident plan on first
@@ -409,21 +288,13 @@ fn window_bound(history: WindowSpec, now: Timestamp) -> WindowBound {
     }
 }
 
-/// The partitioned query repository of one container.
+/// The query repository of one container.
 ///
-/// All methods take `&self`; partitions are internally locked.  See the module docs for
-/// the sharding scheme.
+/// All methods take `&self`: the container's `&self` APIs (registration, ad-hoc
+/// queries, cursors, status) reach it, so its state sits behind one mutex.
 #[derive(Debug)]
 pub struct QueryRepository {
-    partitions: Vec<Mutex<QueryPartition>>,
-    /// Table name (lowercase) → partitions holding queries that read it, ascending.
-    /// Epoch-published: every produced element consults this on the hot path, while
-    /// writes happen only on (un)registration — readers take an `Arc` snapshot and
-    /// never contend.
-    routes: EpochCell<HashMap<String, Vec<usize>>>,
-    /// Query id → owning partition.
-    owners: RwLock<HashMap<ClientQueryId, usize>>,
-    next_id: AtomicU64,
+    state: Mutex<RepositoryState>,
     incremental: bool,
     /// Shared instrument cells for the incremental/fallback split and per-evaluation
     /// latency — the single ledger of those counts (see [`QueryManagerStats`]).
@@ -433,23 +304,30 @@ pub struct QueryRepository {
     slow_queries: Arc<SlowQueryLog>,
 }
 
-impl QueryRepository {
-    /// Creates a single-partition repository; `incremental: false` forces full
-    /// re-evaluation of every registered query.
-    pub fn new(incremental: bool) -> QueryRepository {
-        QueryRepository::with_partitions(1, incremental)
-    }
+/// The registered queries, their table index, and the SQL engine (prepared-plan cache
+/// + fallback executor).
+#[derive(Debug)]
+struct RepositoryState {
+    engine: SqlEngine,
+    repository: HashMap<ClientQueryId, ClientQuery>,
+    /// Index from output-table name to the queries that read it, registration order.
+    by_table: HashMap<String, Vec<ClientQueryId>>,
+    stats: QueryManagerStats,
+    next_id: u64,
+}
 
-    /// Creates a repository with `partitions` shards (one per step-loop worker).
-    pub fn with_partitions(partitions: usize, incremental: bool) -> QueryRepository {
-        let partitions = partitions.max(1);
+impl QueryRepository {
+    /// Creates a repository; `incremental: false` forces full re-evaluation of every
+    /// registered query.
+    pub fn new(incremental: bool) -> QueryRepository {
         QueryRepository {
-            partitions: (0..partitions)
-                .map(|_| Mutex::new(QueryPartition::new()))
-                .collect(),
-            routes: EpochCell::new(HashMap::new()),
-            owners: RwLock::new(HashMap::new()),
-            next_id: AtomicU64::new(1),
+            state: Mutex::new(RepositoryState {
+                engine: SqlEngine::new(),
+                repository: HashMap::new(),
+                by_table: HashMap::new(),
+                stats: QueryManagerStats::default(),
+                next_id: 1,
+            }),
             incremental,
             telemetry: QueryTelemetry::new(),
             slow_queries: Arc::new(SlowQueryLog::default()),
@@ -467,27 +345,15 @@ impl QueryRepository {
         &self.slow_queries
     }
 
-    /// Hands every partition engine the shared SQL instrument handles (compile/open/
-    /// execute latency histograms).
+    /// Hands the engine the shared SQL instrument handles (compile/open/execute
+    /// latency histograms).
     pub fn set_sql_telemetry(&self, telemetry: &gsn_sql::SqlTelemetry) {
-        for partition in &self.partitions {
-            partition.lock().engine.set_telemetry(telemetry.clone());
-        }
-    }
-
-    /// Number of partitions.
-    pub fn partition_count(&self) -> usize {
-        self.partitions.len()
+        self.state.lock().engine.set_telemetry(telemetry.clone());
     }
 
     /// Whether incremental (delta-window) evaluation is enabled.
     pub fn incremental_enabled(&self) -> bool {
         self.incremental
-    }
-
-    /// The partition owning queries whose first referenced table is `table`.
-    pub fn partition_of_table(&self, table: &str) -> usize {
-        shard_index(table, self.partitions.len())
     }
 
     /// Executes a prepared ad-hoc (one-shot) query against the live storage, seeing the
@@ -498,10 +364,10 @@ impl QueryRepository {
         storage: &StorageManager,
         now: Timestamp,
     ) -> GsnResult<Relation> {
-        let mut partition = self.partitions[0].lock();
-        partition.stats.adhoc_executed += 1;
+        let mut state = self.state.lock();
+        state.stats.adhoc_executed += 1;
         let catalog = LiveCatalog::new(storage, &[], now);
-        partition.engine.execute_prepared(prepared, &catalog)
+        state.engine.execute_prepared(prepared, &catalog)
     }
 
     /// Registers a continuous client query.
@@ -527,19 +393,15 @@ impl QueryRepository {
                 )));
             }
         }
-        // A cache-free compile discovers the referenced tables (and therefore the
-        // owning partition); the partition's engine then compiles through its cache.
-        let probe = SqlEngine::compile(sql, &OptimizerConfig::default())?;
-        let Some(first_table) = probe.referenced_tables().first() else {
+        let mut state = self.state.lock();
+        let prepared = state.engine.prepare(sql)?;
+        if prepared.referenced_tables().is_empty() {
             return Err(GsnError::sql_parse(
                 "a registered query must read from at least one virtual sensor",
             ));
-        };
-        let partition_index = self.partition_of_table(first_table);
-        let id = ClientQueryId(self.next_id.fetch_add(1, Ordering::Relaxed));
-
-        let mut partition = self.partitions[partition_index].lock();
-        let prepared = partition.engine.prepare(sql)?;
+        }
+        let id = ClientQueryId(state.next_id);
+        state.next_id += 1;
         let views: Vec<CatalogView> = prepared
             .referenced_tables()
             .iter()
@@ -552,14 +414,9 @@ impl QueryRepository {
             })
             .collect();
         for table in prepared.referenced_tables() {
-            partition
-                .by_table
-                .entry(table.clone())
-                .or_default()
-                .push(id);
+            state.by_table.entry(table.clone()).or_default().push(id);
         }
-        let tables = prepared.referenced_tables().to_vec();
-        partition.repository.insert(
+        state.repository.insert(
             id,
             ClientQuery {
                 id,
@@ -572,57 +429,23 @@ impl QueryRepository {
                 incremental: IncrementalSlot::Untried,
             },
         );
-        drop(partition);
-
-        self.owners.write().insert(id, partition_index);
-        self.routes.update(|routes| {
-            let mut next = routes.clone();
-            for table in tables {
-                let entry = next.entry(table).or_default();
-                if !entry.contains(&partition_index) {
-                    entry.push(partition_index);
-                    entry.sort_unstable();
-                }
-            }
-            (next, ())
-        });
         Ok(id)
     }
 
     /// Removes a registered query.
     pub fn deregister(&self, id: ClientQueryId) -> GsnResult<()> {
-        let Some(partition_index) = self.owners.write().remove(&id) else {
-            return Err(GsnError::not_found(format!("no registered query {id:?}")));
-        };
-        let mut partition = self.partitions[partition_index].lock();
-        let removed = partition
+        let mut state = self.state.lock();
+        let removed = state
             .repository
             .remove(&id)
             .ok_or_else(|| GsnError::not_found(format!("no registered query {id:?}")))?;
-        let mut orphaned: Vec<String> = Vec::new();
         for table in removed.referenced_tables() {
-            if let Some(ids) = partition.by_table.get_mut(table) {
+            if let Some(ids) = state.by_table.get_mut(table) {
                 ids.retain(|q| *q != id);
                 if ids.is_empty() {
-                    partition.by_table.remove(table);
-                    orphaned.push(table.clone());
+                    state.by_table.remove(table);
                 }
             }
-        }
-        drop(partition);
-        if !orphaned.is_empty() {
-            self.routes.update(|routes| {
-                let mut next = routes.clone();
-                for table in &orphaned {
-                    if let Some(entry) = next.get_mut(table) {
-                        entry.retain(|p| *p != partition_index);
-                        if entry.is_empty() {
-                            next.remove(table);
-                        }
-                    }
-                }
-                (next, ())
-            });
         }
         Ok(())
     }
@@ -633,15 +456,11 @@ impl QueryRepository {
     /// reads false on listings of incrementally evaluated queries).
     pub fn registered(&self) -> Vec<ClientQuery> {
         let mut all: Vec<ClientQuery> = self
-            .partitions
-            .iter()
-            .flat_map(|p| {
-                p.lock()
-                    .repository
-                    .values()
-                    .map(ClientQuery::snapshot)
-                    .collect::<Vec<_>>()
-            })
+            .state
+            .lock()
+            .repository
+            .values()
+            .map(ClientQuery::snapshot)
             .collect();
         all.sort_by_key(|q| q.id);
         all
@@ -649,24 +468,18 @@ impl QueryRepository {
 
     /// Number of registered queries.
     pub fn registered_count(&self) -> usize {
-        self.partitions
-            .iter()
-            .map(|p| p.lock().repository.len())
-            .sum()
+        self.state.lock().repository.len()
     }
 
-    /// The registered queries that read `table` (partition order, then registration
-    /// order).
+    /// The registered queries that read `table`, in registration order.
     pub fn queries_for_table(&self, table: &str) -> Vec<ClientQueryId> {
         let key = table.to_ascii_lowercase();
-        let routes = self.routes.load();
-        let mut ids = Vec::new();
-        for &p in routes.get(&key).into_iter().flatten() {
-            if let Some(partition_ids) = self.partitions[p].lock().by_table.get(&key) {
-                ids.extend_from_slice(partition_ids);
-            }
-        }
-        ids
+        self.state
+            .lock()
+            .by_table
+            .get(&key)
+            .cloned()
+            .unwrap_or_default()
     }
 
     /// Evaluates every registered query affected by a new element in `table`, returning
@@ -674,9 +487,7 @@ impl QueryRepository {
     ///
     /// This is the inner loop of the Figure 4 experiment: its cost for N registered
     /// clients is what the paper reports as "total processing time for the set of
-    /// clients".  Single-table queries over `table` live in `table`'s own partition —
-    /// the one aligned with the worker shard that produced the element — so the common
-    /// case takes exactly one uncontended partition lock.
+    /// clients".
     pub fn evaluate_for_table(
         &self,
         table: &str,
@@ -684,18 +495,59 @@ impl QueryRepository {
         now: Timestamp,
     ) -> Vec<ClientQueryResult> {
         let key = table.to_ascii_lowercase();
-        let routes = self.routes.load();
-        let mut results = Vec::new();
-        for &p in routes.get(&key).into_iter().flatten() {
-            self.partitions[p].lock().evaluate_for_table(
-                &key,
-                storage,
-                now,
-                self.incremental,
-                &self.telemetry,
-                &self.slow_queries,
-                &mut results,
-            );
+        let mut guard = self.state.lock();
+        let state = &mut *guard;
+        let Some(ids) = state.by_table.get(&key) else {
+            return Vec::new();
+        };
+        let mut results = Vec::with_capacity(ids.len());
+        for id in ids {
+            let Some(query) = state.repository.get_mut(id) else {
+                continue;
+            };
+            let watch = Stopwatch::start();
+            let incremental = if self.incremental {
+                try_incremental(query, storage, now)
+            } else {
+                None
+            };
+            let outcome = match incremental {
+                Some(relation) => {
+                    self.telemetry.incremental_evaluated.inc();
+                    Ok(relation)
+                }
+                None => {
+                    // Full re-evaluation over the live catalog, with the views cached
+                    // at registration time (no per-element catalog rebuild).
+                    self.telemetry.fallback_evaluated.inc();
+                    let catalog = LiveCatalog::new(storage, &query.views, now);
+                    state.engine.execute_prepared(&query.prepared, &catalog)
+                }
+            };
+            let micros = watch.elapsed_micros();
+            self.telemetry.eval_micros.record(micros);
+            match outcome {
+                Ok(relation) => {
+                    state.stats.registered_evaluated += 1;
+                    self.slow_queries.observe(micros, || SlowQuery {
+                        sql: query.sql.clone(),
+                        micros,
+                        explain: query.prepared.explain(),
+                        rows_scanned: 0,
+                        rows_returned: relation.row_count() as u64,
+                        hops: Vec::new(),
+                    });
+                    results.push(ClientQueryResult {
+                        query_id: *id,
+                        client: query.client.clone(),
+                        relation,
+                        evaluated_at: now,
+                    });
+                }
+                Err(_) => {
+                    state.stats.registered_failed += 1;
+                }
+            }
         }
         results
     }
@@ -703,7 +555,7 @@ impl QueryRepository {
     /// Compiles a query (hitting the prepared cache) without executing it — the entry
     /// point for the container's cursor API, which opens the plan itself.
     pub fn prepare(&self, sql: &str) -> GsnResult<PreparedQuery> {
-        self.partitions[0].lock().engine.prepare(sql)
+        self.state.lock().engine.prepare(sql)
     }
 
     /// Folds a finished container cursor's counters into the engine statistics
@@ -715,7 +567,7 @@ impl QueryRepository {
         pages_skipped: u64,
         rows_residual_filtered: u64,
     ) {
-        self.partitions[0].lock().engine.record_cursor(
+        self.state.lock().engine.record_cursor(
             rows_scanned,
             rows_returned,
             pages_skipped,
@@ -726,36 +578,13 @@ impl QueryRepository {
     /// Compiles a query without registering or executing it (used for EXPLAIN-style
     /// inspection through the container API).
     pub fn explain(&self, sql: &str) -> GsnResult<String> {
-        Ok(self.partitions[0].lock().engine.prepare(sql)?.explain())
+        Ok(self.prepare(sql)?.explain())
     }
 
-    /// Repository statistics, merged across partitions (including the SQL engines'
-    /// compile/cache/row counters).
+    /// Repository statistics, with the SQL engine's compile/cache/row counters.
     pub fn stats(&self) -> (QueryManagerStats, EngineStats) {
-        let mut stats = QueryManagerStats::default();
-        let mut engine = EngineStats::default();
-        for partition in &self.partitions {
-            let partition = partition.lock();
-            stats.absorb(&partition.stats);
-            engine.absorb(&partition.engine.stats());
-        }
-        (stats, engine)
-    }
-
-    /// Per-partition registration counts and statistics (for status rendering).
-    pub fn partition_status(&self) -> Vec<QueryPartitionStatus> {
-        self.partitions
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                let p = p.lock();
-                QueryPartitionStatus {
-                    partition: i,
-                    registered: p.repository.len(),
-                    stats: p.stats,
-                }
-            })
-            .collect()
+        let state = self.state.lock();
+        (state.stats, state.engine.stats())
     }
 }
 
@@ -875,8 +704,8 @@ mod tests {
                 s.create_table("room_temp", schema.clone(), Retention::Unbounded)
                     .unwrap();
             }
-            let incremental = QueryRepository::with_partitions(1, true);
-            let full = QueryRepository::with_partitions(1, false);
+            let incremental = QueryRepository::new(true);
+            let full = QueryRepository::new(false);
             for (i, sql) in queries.iter().enumerate() {
                 incremental
                     .register(&format!("c{i}"), sql, window, None)
@@ -916,41 +745,6 @@ mod tests {
             );
             assert_eq!(full.telemetry().incremental_evaluated.get(), 0);
         }
-    }
-
-    /// Epoch-snapshot staleness: a reader holding a routes snapshot across a
-    /// deregistration keeps the generation it loaded — the removed route stays visible
-    /// to it and every lookup completes — while new readers immediately observe the
-    /// next generation with the route gone.
-    #[test]
-    fn route_snapshots_stay_readable_across_deregistration() {
-        let storage = storage_with_output();
-        let qm = QueryRepository::with_partitions(4, true);
-        let id = qm
-            .register(
-                "client-1",
-                "select avg(temperature) from room_temp",
-                WindowSpec::Count(10),
-                None,
-            )
-            .unwrap();
-        let generation = qm.routes.generation();
-        let stale = qm.routes.load();
-        let partition = qm.partition_of_table("room_temp");
-        assert_eq!(stale.get("room_temp"), Some(&vec![partition]));
-
-        qm.deregister(id).unwrap();
-
-        // The held snapshot is immutable: a reader mid-evaluation on the old
-        // generation still resolves the route it started with.
-        assert_eq!(stale.get("room_temp"), Some(&vec![partition]));
-        // New loads see the replacement map, not a mutation of the old one.
-        assert!(qm.routes.load().get("room_temp").is_none());
-        assert!(qm.routes.generation() > generation);
-        assert!(qm.queries_for_table("room_temp").is_empty());
-        assert!(qm
-            .evaluate_for_table("room_temp", &storage, Timestamp(2_000))
-            .is_empty());
     }
 
     #[test]
@@ -1046,43 +840,8 @@ mod tests {
     }
 
     #[test]
-    fn partitions_align_with_the_sensor_shards() {
-        let qm = QueryRepository::with_partitions(4, true);
-        // The sensor `room-temp` and its output table `room_temp` hash identically.
-        assert_eq!(
-            shard_index("room-temp", 4),
-            qm.partition_of_table("room_temp")
-        );
-        assert_eq!(shard_index("ROOM_TEMP", 4), shard_index("room-temp", 4));
-
-        let storage = storage_with_output();
-        let id = qm
-            .register(
-                "c",
-                "select count(*) from room_temp",
-                WindowSpec::Count(5),
-                None,
-            )
-            .unwrap();
-        let owning = qm.partition_of_table("room_temp");
-        let status = qm.partition_status();
-        assert_eq!(status.len(), 4);
-        assert_eq!(status[owning].registered, 1);
-        assert_eq!(
-            status.iter().map(|p| p.registered).sum::<usize>(),
-            1,
-            "the query lives in exactly one partition"
-        );
-        let results = qm.evaluate_for_table("room_temp", &storage, Timestamp(2_000));
-        assert_eq!(results.len(), 1);
-        assert_eq!(qm.partition_status()[owning].stats.registered_evaluated, 1);
-        qm.deregister(id).unwrap();
-        assert!(qm.queries_for_table("room_temp").is_empty());
-    }
-
-    #[test]
-    fn cross_table_queries_are_pinned_to_one_partition() {
-        let qm = QueryRepository::with_partitions(4, true);
+    fn cross_table_queries_are_indexed_under_every_table() {
+        let qm = QueryRepository::new(true);
         qm.register(
             "joiner",
             "select a.temperature from room_temp a join hall_temp b on a.room = b.room",
@@ -1090,18 +849,11 @@ mod tests {
             None,
         )
         .unwrap();
-        // Both tables route to the single owning partition.
         let ids_a = qm.queries_for_table("room_temp");
         let ids_b = qm.queries_for_table("hall_temp");
         assert_eq!(ids_a.len(), 1);
         assert_eq!(ids_a, ids_b);
-        assert_eq!(
-            qm.partition_status()
-                .iter()
-                .map(|p| p.registered)
-                .sum::<usize>(),
-            1
-        );
+        assert_eq!(qm.registered_count(), 1);
     }
 
     #[test]
@@ -1174,21 +926,5 @@ mod tests {
         assert!(plan.contains("Aggregate"));
         assert!(plan.contains("Scan room_temp"));
         assert!(qm.explain("garbage").is_err());
-    }
-
-    #[test]
-    fn shard_assignment_is_stable_and_total() {
-        for shards in [1usize, 2, 4, 8] {
-            for i in 0..64 {
-                let name = format!("sensor-{i}");
-                let a = shard_index(&name, shards);
-                assert_eq!(a, shard_index(&name, shards));
-                assert!(a < shards);
-            }
-        }
-        let hit: std::collections::HashSet<usize> = (0..64)
-            .map(|i| shard_index(&format!("sensor-{i}"), 4))
-            .collect();
-        assert_eq!(hit.len(), 4);
     }
 }

@@ -757,7 +757,6 @@ mod tests {
                 ..Default::default()
             },
             window_spill_bytes: Some(2 * 1024),
-            ..Default::default()
         });
         let mut sensors = [
             deploy(descriptor.clone(), &memory),

@@ -39,19 +39,11 @@ pub static STEP_NETWORK_DRAIN_MICROS: MetricDesc = MetricDesc::histogram(
     "microseconds",
 );
 
-/// Pipeline phase: wrapper polling plus per-sensor pipeline execution (sharded across
-/// the worker pool when `workers > 1`), including the in-shard query evaluations and
-/// notification deliveries they trigger.
+/// Pipeline phase: wrapper polling plus per-sensor pipeline execution, including the
+/// query evaluations, notification deliveries and loop-back deliveries they trigger.
 pub static STEP_PIPELINE_MICROS: MetricDesc = MetricDesc::histogram(
     "gsn_step_pipeline_micros",
-    "Step phase: wrapper polling + sensor pipeline execution (incl. barrier wait)",
-    "microseconds",
-);
-
-/// Post-barrier phase: sequential delivery of cross-shard loop-back outputs.
-pub static STEP_POST_BARRIER_MICROS: MetricDesc = MetricDesc::histogram(
-    "gsn_step_post_barrier_micros",
-    "Step phase: sequential post-barrier delivery of cross-shard loop-back outputs",
+    "Step phase: wrapper polling + sensor pipeline execution",
     "microseconds",
 );
 
@@ -201,18 +193,15 @@ pub static HEALTH_STATE: MetricDesc = MetricDesc::gauge(
 /// The live instrument handles of the container itself.
 ///
 /// Created detached at container construction and adopted into the container's
-/// [`MetricsRegistry`]; handles are cheap clones of shared cells, so per-shard
-/// recordings merge for free.
+/// [`MetricsRegistry`]; handles are cheap clones of shared cells.
 #[derive(Debug, Clone, Default)]
 pub struct ContainerTelemetry {
     /// Full-step duration.
     pub step_micros: Histogram,
     /// Network-drain phase duration.
     pub network_drain_micros: Histogram,
-    /// Pipeline phase duration (poll + pipelines + barrier).
+    /// Pipeline phase duration (poll + pipelines).
     pub pipeline_micros: Histogram,
-    /// Post-barrier delivery phase duration.
-    pub post_barrier_micros: Histogram,
     /// Prune + group-commit phase duration.
     pub commit_micros: Histogram,
     /// Steps executed.
@@ -262,7 +251,6 @@ impl ContainerTelemetry {
         registry.register_histogram(&STEP_MICROS, &self.step_micros);
         registry.register_histogram(&STEP_NETWORK_DRAIN_MICROS, &self.network_drain_micros);
         registry.register_histogram(&STEP_PIPELINE_MICROS, &self.pipeline_micros);
-        registry.register_histogram(&STEP_POST_BARRIER_MICROS, &self.post_barrier_micros);
         registry.register_histogram(&STEP_COMMIT_MICROS, &self.commit_micros);
         registry.register_counter(&STEPS_TOTAL, &self.steps_total);
         registry.register_counter(&LOCAL_ARRIVALS_TOTAL, &self.local_arrivals_total);
@@ -329,8 +317,8 @@ pub static QUERY_DELTA_EVAL_MICROS: MetricDesc = MetricDesc::histogram(
     "microseconds",
 );
 
-/// The query repository's live instruments, shared by every partition (the cells are
-/// container-wide: the per-shard recordings of a sharded step loop merge for free).
+/// The query repository's live instruments (cheap handle clones of container-wide
+/// cells).
 ///
 /// These counters are the *only* ledger of incremental-vs-fallback evaluation counts —
 /// `QueryManagerStats` deliberately does not duplicate them.

@@ -247,6 +247,7 @@ mod tests {
     use super::channel::*;
 
     #[test]
+    #[allow(clippy::disallowed_methods)] // the property under test needs other threads
     fn send_and_receive_across_threads() {
         let (tx, rx) = unbounded();
         let rx2 = rx.clone();

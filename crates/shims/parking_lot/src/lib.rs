@@ -91,6 +91,7 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
+    #[allow(clippy::disallowed_methods)] // the property under test needs other threads
     fn mutex_guards_data() {
         let m = Arc::new(Mutex::new(0u32));
         let mut handles = Vec::new();

@@ -92,31 +92,6 @@ pub struct EngineStats {
     pub rows_residual_filtered: u64,
 }
 
-impl EngineStats {
-    /// Adds another engine's counters into this one (the query repository merges its
-    /// per-partition engines this way; new counters added here are merged for free).
-    pub fn absorb(&mut self, other: &EngineStats) {
-        let EngineStats {
-            compiled,
-            cache_hits,
-            executions,
-            rows_scanned,
-            rows_returned,
-            pages_skipped,
-            pushdown_applied,
-            rows_residual_filtered,
-        } = other;
-        self.compiled += compiled;
-        self.cache_hits += cache_hits;
-        self.executions += executions;
-        self.rows_scanned += rows_scanned;
-        self.rows_returned += rows_returned;
-        self.pages_skipped += pages_skipped;
-        self.pushdown_applied += pushdown_applied;
-        self.rows_residual_filtered += rows_residual_filtered;
-    }
-}
-
 /// The embedded SQL engine used by every GSN container.
 #[derive(Debug)]
 pub struct SqlEngine {
@@ -143,9 +118,9 @@ impl SqlEngine {
         }
     }
 
-    /// Replaces the engine's telemetry handles.  The query repository clones one
-    /// container-wide [`SqlTelemetry`] into every partition engine so their
-    /// latency recordings land in the same histograms.
+    /// Replaces the engine's telemetry handles.  The query repository hands its
+    /// engine a clone of the container-wide [`SqlTelemetry`], so its latency
+    /// recordings land in the container's histograms.
     pub fn set_telemetry(&mut self, telemetry: SqlTelemetry) {
         self.telemetry = telemetry;
     }

@@ -253,9 +253,18 @@ fn open_node(
         LogicalPlan::Sort { input, keys } => {
             let inner = open_node(input, catalog, counters)?;
             let columns = inner.columns().to_vec();
+            let keys = keys
+                .iter()
+                .map(|key| {
+                    Ok(SortKey {
+                        expr: resolve_subqueries(key.expr.clone(), catalog)?,
+                        ascending: key.ascending,
+                    })
+                })
+                .collect::<GsnResult<_>>()?;
             Box::new(SortSource {
                 inner: Some(inner),
-                keys: keys.clone(),
+                keys,
                 columns,
                 buffered: None,
             })
@@ -1449,6 +1458,26 @@ mod tests {
             run("select room from motes where temperature > (select avg(temperature) from motes)");
         assert_eq!(r.row_count(), 1);
         assert_eq!(r.rows()[0][0], Value::varchar("bc144"));
+    }
+
+    #[test]
+    fn order_by_keys_may_hold_subqueries() {
+        let r = run("select temperature from motes order by (select max(temperature) from motes)");
+        assert_eq!(r.row_count(), 4);
+        let r = run("select room from cameras \
+             order by image_size + (select max(temperature) from motes) desc");
+        let rooms: Vec<Value> = r.rows().iter().map(|row| row[0].clone()).collect();
+        assert_eq!(
+            rooms,
+            vec![
+                Value::varchar("bc999"),
+                Value::varchar("bc143"),
+                Value::varchar("bc144")
+            ]
+        );
+        let r = run("select room from cameras where room in \
+             (select room from motes order by temperature + (select min(temperature) from motes))");
+        assert_eq!(r.row_count(), 2);
     }
 
     #[test]

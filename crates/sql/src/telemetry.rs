@@ -1,9 +1,8 @@
 //! SQL-engine telemetry: compile/open/execute latency instruments.
 //!
 //! One [`SqlTelemetry`] is shared (via cheap handle clones) by every
-//! [`crate::SqlEngine`] of a container — the ad-hoc engine and each query
-//! repository partition's engine all record into the same cells, so per-shard
-//! merge is free.  Row counters (`rows_scanned` / `rows_returned`, cache hits,
+//! [`crate::SqlEngine`] of a container, so all of them record into the same
+//! cells.  Row counters (`rows_scanned` / `rows_returned`, cache hits,
 //! executions) stay in [`crate::EngineStats`] — the container sources them
 //! into the registry at snapshot time rather than double-counting here.
 

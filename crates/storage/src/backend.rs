@@ -97,11 +97,11 @@ pub struct PersistentOptions {
     /// WAL durability mode of the [`WalSet`] the [`crate::StorageManager`] builds.
     pub sync: SyncMode,
     /// Auto-checkpoint once the table's WAL tag exceeds this many bytes (also the
-    /// manager's shard-compaction threshold).
+    /// manager's log-compaction threshold).
     pub wal_checkpoint_bytes: u64,
     /// Group commit: defer [`SyncMode::Always`] fsyncs to an explicit
     /// [`WalSet::commit`] (the container calls it once per step, amortising one fsync
-    /// per shard across every row ingested in that step).
+    /// across every row ingested in that step).
     pub group_commit: bool,
     /// The shared buffer pool to register this table's pages with.  `None` gives the
     /// table a private pool of `pool_pages` frames (standalone use, tests).
@@ -525,7 +525,8 @@ impl PersistentBackend {
     /// `<dir>/<name>.NNNNNNNN.seg` segments, logging its rows under its tag in `wal`.
     ///
     /// A non-empty `<dir>/<name>.wal` — the private log of the pre-sharding layout — is
-    /// refused with an error naming it: it may hold acknowledged rows no shard log has.
+    /// refused with an error naming it: it may hold acknowledged rows the shared log
+    /// does not have.
     pub fn open(
         dir: &Path,
         name: &str,
@@ -537,7 +538,7 @@ impl PersistentBackend {
         if std::fs::metadata(&legacy).is_ok_and(|m| m.len() > 0) {
             return Err(GsnError::storage(format!(
                 "durable table `{name}` has a non-empty per-table WAL {legacy:?} from the \
-                 pre-sharding layout; its rows are in no shard log, so the table is not opened"
+                 pre-sharding layout; its rows are in no shared log, so the table is not opened"
             )));
         }
         Self::open_with_log(dir, name, schema, Some(wal), options)

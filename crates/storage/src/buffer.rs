@@ -25,8 +25,7 @@
 //! steals one from its siblings (locking regions in ascending order) before giving up.
 //!
 //! The pool is shared via `Arc` by every [`crate::PersistentBackend`] of a
-//! [`crate::StorageManager`], which the container's sharded step loop drives from
-//! multiple worker threads concurrently.
+//! [`crate::StorageManager`]; any thread holding the manager may read through it.
 //!
 //! Lock order (must never be reversed):
 //!

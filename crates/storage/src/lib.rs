@@ -56,7 +56,7 @@
 //!   container-wide budget, so scans over tables larger than the pool run in bounded
 //!   memory even with hundreds of sensors.
 //! * **Write-ahead log** ([`wal`]): one layout — every durable table appends CRC-framed
-//!   rows under its tag in the container's [`WalSet`] of `wal-shard-NNNN.wal` files
+//!   rows under its tag in the container's one [`WalSet`] log, `wal-shard-0000.wal`,
 //!   before the page write.  [`SyncMode`] picks the durability/throughput trade-off.
 //!
 //! **Recovery semantics**: completed pages are written through immediately, so the heap
@@ -142,5 +142,5 @@ pub use spill::{ResidentBackend, SpillOptions};
 pub use stats::{StorageStats, TableDiskStats, TableStats};
 pub use table::{sampling_stride, StreamTable};
 pub use telemetry::StorageTelemetry;
-pub use wal::{shard_index, ShardCommit, SyncMode, Wal, WalSet};
+pub use wal::{SyncMode, Wal, WalSet};
 pub use window::{Retention, WindowSpec};

@@ -5,10 +5,10 @@
 //! manager owns one [`StreamTable`] per stream source / virtual sensor output, provides
 //! windowed catalogs for the SQL engine, and aggregates statistics.
 //!
-//! The manager is internally synchronised and safe to drive from many worker threads at
-//! once (the container's sharded step loop does exactly that): the table map sits behind
-//! an `RwLock` taken briefly per lookup, each table behind its own `RwLock`, and every
-//! durable table shares one [`SharedBufferPool`] (container-wide page budget,
+//! The manager is internally synchronised, so a container's `&self` APIs (queries,
+//! cursors, maintenance) can reach it while it holds tables open: the table map sits
+//! behind an `RwLock` taken briefly per lookup, each table behind its own `RwLock`, and
+//! every durable table shares one [`SharedBufferPool`] (container-wide page budget,
 //! cross-table eviction) that is itself thread-safe.
 
 use std::collections::HashMap;
@@ -27,7 +27,7 @@ use crate::spill::SpillOptions;
 use crate::stats::{StorageStats, TableDiskStats};
 use crate::table::StreamTable;
 use crate::telemetry::StorageTelemetry;
-use crate::wal::WalSet;
+use crate::wal::{SyncMode, WalSet};
 use crate::window::{Retention, WindowSpec};
 use gsn_telemetry::Stopwatch;
 
@@ -45,11 +45,6 @@ pub struct StorageOptions {
     /// large time windows (`storage-size="30d"`) query in bounded memory.  `None`
     /// keeps the seed behaviour (windows stay fully resident).
     pub window_spill_bytes: Option<usize>,
-    /// Shards of the container-wide WAL (one log file per step-loop shard,
-    /// multiplexing every durable table; see [`WalSet`]); `0` means one shard.  The
-    /// container passes its worker count, so the per-step commit fsyncs at most once
-    /// per *active shard* however many durable tables ingested.
-    pub wal_shards: usize,
 }
 
 impl StorageOptions {
@@ -59,14 +54,7 @@ impl StorageOptions {
             data_dir: Some(data_dir.into()),
             persistent: PersistentOptions::default(),
             window_spill_bytes: None,
-            wal_shards: 0,
         }
-    }
-
-    /// Sets the number of container-wide WAL shard files.
-    pub fn with_wal_shards(mut self, shards: usize) -> StorageOptions {
-        self.wal_shards = shards;
-        self
     }
 
     /// Enables window spilling with the given resident budget.
@@ -84,13 +72,13 @@ pub struct StorageManager {
     /// The container-wide page budget every durable table shares
     /// (`options.persistent.pool_pages` frames in total, cross-table eviction).
     pool: Arc<SharedBufferPool>,
-    /// The sharded container-wide WAL every durable table appends to (present
-    /// whenever a data directory is configured).
+    /// The container-wide WAL every durable table appends to (present whenever a data
+    /// directory is configured).
     wal_set: Option<Arc<WalSet>>,
     /// Lifetime counters of the retention maintenance pass.
     maintenance: Mutex<MaintenanceTotals>,
-    /// Guards against overlapping maintenance passes (the step loop schedules them
-    /// onto the worker pool; a pass that outlives its step must not stack).
+    /// Guards against overlapping maintenance passes (a `&self` caller may start one
+    /// while another is running; the second must not stack).
     maintenance_busy: AtomicBool,
     /// Live instrument handles; the container adopts them into its registry.
     telemetry: StorageTelemetry,
@@ -118,7 +106,6 @@ impl StorageManager {
         let wal_set = options.data_dir.as_ref().map(|dir| {
             Arc::new(WalSet::new(
                 dir.clone(),
-                options.wal_shards.max(1),
                 options.persistent.sync,
                 options.persistent.group_commit,
                 options.persistent.wal_checkpoint_bytes.max(1),
@@ -207,7 +194,7 @@ impl StorageManager {
         self.register_table(name, table)
     }
 
-    /// The sharded container-wide WAL, when a data directory is configured.
+    /// The container-wide WAL, when a data directory is configured.
     pub fn wal_set(&self) -> Option<&Arc<WalSet>> {
         self.wal_set.as_ref()
     }
@@ -266,25 +253,19 @@ impl StorageManager {
         Ok(())
     }
 
-    /// Group commit: drains every WAL shard with group-committed appends still pending —
-    /// one write and at most one fsync per *active shard*, however many tables ingested
-    /// this step.  The container calls this once per step.
-    ///
-    /// Every shard is attempted even when one fails — a transient error on one log must
-    /// not leave the other shards' acknowledged rows unsynced past the step boundary.
-    /// The first error is returned.
+    /// Group commit: drains the WAL's group-committed appends with one write and at
+    /// most one fsync, however many tables ingested this step.  The container calls
+    /// this once per step.
     pub fn group_commit(&self) -> GsnResult<()> {
         let Some(set) = &self.wal_set else {
             return Ok(());
         };
         let sw = Stopwatch::start();
-        let commits = set.commit()?;
-        if !commits.is_empty() {
+        let records = set.commit()?;
+        if records > 0 {
             self.telemetry.wal_sync_micros.record(sw.elapsed_micros());
-        }
-        for commit in commits {
-            self.telemetry.wal_batch_records.record(commit.records);
-            if commit.synced {
+            self.telemetry.wal_batch_records.record(records);
+            if self.options.persistent.sync == SyncMode::Always {
                 self.telemetry.wal_fsyncs.add(1);
             }
         }
@@ -344,9 +325,9 @@ impl StorageManager {
 
     /// The retention maintenance pass: prunes every table, then reclaims file space —
     /// fully dead head segments are deleted, the boundary segment is compacted (see
-    /// [`crate::retention`]).  The container's step loop schedules this onto its worker
-    /// pool; overlapping invocations are coalesced (the second returns immediately
-    /// with `ran = false`).
+    /// [`crate::retention`]).  The container's step loop runs it inline every few steps;
+    /// overlapping invocations are coalesced (the second returns immediately with
+    /// `ran = false`).
     pub fn maintain(&self, now: Timestamp) -> MaintenanceReport {
         if self.maintenance_busy.swap(true, Ordering::AcqRel) {
             return MaintenanceReport::default();
@@ -910,6 +891,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods)] // the property under test needs other threads
     fn concurrent_inserts_are_safe() {
         let m = Arc::new(StorageManager::new());
         m.create_table("t", schema(), Retention::Unbounded).unwrap();

@@ -3,8 +3,8 @@
 //!
 //! Pruning (see [`crate::StreamTable::prune`]) is cheap and logical — it advances a
 //! watermark; dead rows keep occupying their segment files.  The *maintenance pass*
-//! ([`crate::StorageManager::maintain`], scheduled from the container step loop onto
-//! the worker pool) walks every table and asks its backend to
+//! ([`crate::StorageManager::maintain`], run inline by the container step loop every
+//! few steps) walks every table and asks its backend to
 //! [`reclaim`](crate::StorageBackend::reclaim):
 //!
 //! * **head-segment deletion** — a sealed segment whose rows are all below the prune

@@ -27,21 +27,21 @@ pub static STORAGE_WAL_APPEND_MICROS: MetricDesc = MetricDesc::histogram(
 );
 
 /// Latency of the container's per-step WAL group commit (one write and at most one
-/// fsync per active shard), recorded when it drained records.
+/// fsync), recorded when it drained records.
 pub static STORAGE_WAL_SYNC_MICROS: MetricDesc = MetricDesc::histogram(
     "gsn_storage_wal_sync_micros",
     "Latency of one per-step WAL group commit",
     "microseconds",
 );
 
-/// Size of one drained WAL group-commit batch (records per shard commit).
+/// Size of one drained WAL group-commit batch (records per commit).
 pub static STORAGE_WAL_BATCH_RECORDS: MetricDesc = MetricDesc::histogram(
     "gsn_storage_wal_batch_records",
     "Records drained by one WAL group-commit batch",
     "records",
 );
 
-/// WAL fsyncs issued by per-step group commits (≤ 1 per active shard per step).
+/// WAL fsyncs issued by per-step group commits (≤ 1 per step).
 pub static STORAGE_WAL_FSYNCS: MetricDesc = MetricDesc::counter(
     "gsn_storage_wal_fsyncs_total",
     "WAL fsyncs issued by group commits",
@@ -104,9 +104,9 @@ pub struct StorageTelemetry {
     pub insert_micros: Histogram,
     /// Logged (durable) insert latency (WAL append + page write).
     pub wal_append_micros: Histogram,
-    /// Per-step group-commit latency across every shard.
+    /// Per-step group-commit latency.
     pub wal_sync_micros: Histogram,
-    /// Records per drained shard batch.
+    /// Records per drained batch.
     pub wal_batch_records: Histogram,
     /// Fsyncs issued by group commits.
     pub wal_fsyncs: Counter,

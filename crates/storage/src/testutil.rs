@@ -21,20 +21,19 @@ pub fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// A one-shard [`WalSet`] under `dir` with the default log options: the log of a
-/// durable table opened outside a [`crate::StorageManager`].
+/// A [`WalSet`] under `dir` with the default log options: the log of a durable table
+/// opened outside a [`crate::StorageManager`].
 pub fn wal_set(dir: &Path) -> Arc<WalSet> {
     let defaults = PersistentOptions::default();
     Arc::new(WalSet::new(
         dir,
-        1,
         defaults.sync,
         defaults.group_commit,
         defaults.wal_checkpoint_bytes,
     ))
 }
 
-/// Names of the files in `dir` other than the shard logs: what a destroyed table must
+/// Names of the files in `dir` other than the log: what a destroyed table must
 /// not leave behind.
 pub fn table_files(dir: &Path) -> Vec<String> {
     std::fs::read_dir(dir)

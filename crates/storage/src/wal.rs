@@ -1,29 +1,31 @@
 //! The write-ahead log: durability for rows that have not reached a heap page yet.
 //!
 //! Every durable table logs through one layout: a tag inside a [`WalSet`], the
-//! container-wide set of shard logs `wal-shard-NNNN.wal`.  An insert appends its encoded
-//! row under the table's tag *before* the tail page in the buffer pool is touched.  A
-//! checkpoint (buffer-pool flush + heap fsync) makes the heap authoritative and clears
-//! the tag.  Recovery replays the tag and keeps only rows whose sequence number is above
-//! the highest sequence found in the heap — rows that reached disk via an evicted dirty
-//! page before the crash are thereby not duplicated.
+//! container-wide log `wal-shard-0000.wal`.  An insert appends its encoded row under the
+//! table's tag *before* the tail page in the buffer pool is touched.  A checkpoint
+//! (buffer-pool flush + heap fsync) makes the heap authoritative and clears the tag.
+//! Recovery replays the tag and keeps only rows whose sequence number is above the
+//! highest sequence found in the heap — rows that reached disk via an evicted dirty page
+//! before the crash are thereby not duplicated.
 //!
 //! Record framing: `[u32 length][u32 crc32][payload]`, little-endian.  Replay stops at
 //! the first truncated or corrupt record (a torn tail write), which is exactly the
 //! prefix-durability a log needs.
 //!
-//! ## Shards and group commit
+//! ## One log and group commit
 //!
-//! One log file per step-loop shard is shared by every table whose name hashes to that
-//! shard (the same [`shard_index`] hash the container uses to assign sensors to
-//! workers), so a worker appends only to its own shard's log.  With group commit
-//! ([`Wal::set_group_commit`]) appends accumulate in a per-shard batch buffer, and one
-//! [`WalSet::commit`] at the step boundary drains each shard with **one** `write` plus
-//! (under [`SyncMode::Always`]) **one** fsync, amortised across every row and table
-//! ingested in that step.  Durability moves from per-insert to per-step; a crash
-//! mid-step can lose at most that step's un-committed batch (the CRC framing keeps
-//! replay safe).  Records carry a table tag; recovery filters by tag and the
-//! replay-above-heap sequence check makes the deferred (per-tag) truncation safe.
+//! One log file is shared by every durable table of a container.  With group commit
+//! ([`Wal::set_group_commit`]) appends accumulate in a batch buffer, and one
+//! [`WalSet::commit`] at the step boundary drains it with **one** `write` plus (under
+//! [`SyncMode::Always`]) **one** fsync, amortised across every row and table ingested in
+//! that step.  Durability moves from per-insert to per-step; a crash mid-step can lose at
+//! most that step's un-committed batch (the CRC framing keeps replay safe).  Records
+//! carry a table tag; recovery filters by tag and the replay-above-heap sequence check
+//! makes the deferred (per-tag) truncation safe.
+//!
+//! The file keeps the name of the first shard of the former sharded layout.  A non-empty
+//! `wal-shard-NNNN.wal` with `NNNN ≥ 1` was written by that layout and holds rows this
+//! log never sees, so opening the log refuses it with an error naming the file.
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -222,90 +224,55 @@ impl Wal {
 }
 
 // ---------------------------------------------------------------------------------------
-// Sharded, shared logs
+// The shared log
 // ---------------------------------------------------------------------------------------
 
-/// Stable shard assignment: FNV-1a over the *normalised* name, modulo the shard count.
-///
-/// Normalisation lower-cases and maps `-` to `_`, so a sensor (`room-temp`) and its
-/// output table (`room_temp`) land on the same shard.  The container assigns sensors to
-/// step-loop workers and partitions registered queries with this same function, so
-/// with `wal_shards == workers` the worker that runs a sensor's pipeline is the only
-/// one appending to that table's WAL shard and owns the queries that read it.
-pub fn shard_index(name: &str, shards: usize) -> usize {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in name.bytes() {
-        let byte = if byte == b'-' {
-            b'_'
-        } else {
-            byte.to_ascii_lowercase()
-        };
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (hash % shards.max(1) as u64) as usize
-}
+/// File name of the container-wide log.  It keeps the name of the first shard of the
+/// former sharded layout, so a data directory written by either opens unchanged.
+const LOG_FILE: &str = "wal-shard-0000.wal";
 
 /// Marker byte that begins a *tombstone* record (`[0xFF][u8 tag_len][tag]`): all earlier
-/// records of `tag` in the shard are dead (table dropped or superseded), regardless of
+/// records of `tag` in the log are dead (table dropped or superseded), regardless of
 /// their sequence numbers.  Ordinary records are `[u8 tag_len][tag][row]`; tags are
 /// therefore limited to 254 bytes.
 const TOMBSTONE_MARKER: u8 = 0xFF;
 
-/// One record commit summary per shard, returned by [`WalSet::commit`].
-#[derive(Debug, Clone, Copy)]
-pub struct ShardCommit {
-    /// The shard index.
-    pub shard: usize,
-    /// Records the drained batch contained.
-    pub records: u64,
-    /// Whether the commit fsynced the shard file.
-    pub synced: bool,
-}
-
 #[derive(Debug)]
-struct WalShard {
+struct TaggedLog {
     wal: Wal,
     /// Un-checkpointed logical bytes per table tag (frame overhead included).  A tag at
-    /// zero needs nothing from this shard; when *every* tag is at zero the file resets.
+    /// zero needs nothing from the log; when *every* tag is at zero the file resets.
     tag_bytes: HashMap<String, u64>,
 }
 
-/// A set of shared write-ahead logs, one per step-loop shard, multiplexing every
-/// durable table of a container (see the module docs).
+/// The shared write-ahead log multiplexing every durable table of a container (see the
+/// module docs).
 ///
-/// Tables append under their name tag; [`WalSet::commit`] drains each shard with one
+/// Tables append under their name tag; [`WalSet::commit`] drains the log with one
 /// write + one fsync.  Checkpoints are *logical* per table (the tag's byte count drops
-/// to zero); the shard file truncates once every tag is clean, and compacts — rewriting
-/// only live tags' records — when it outgrows `compact_bytes` before that happens.
+/// to zero); the file truncates once every tag is clean, and compacts — rewriting only
+/// live tags' records — when it outgrows `compact_bytes` before that happens.
 pub struct WalSet {
     dir: PathBuf,
     sync: SyncMode,
     group_commit: bool,
     compact_bytes: u64,
-    /// Lazily opened shard logs (a shard with no durable tables never touches disk).
-    shards: Vec<Mutex<Option<WalShard>>>,
+    /// The lazily opened log (a container with no durable tables never touches disk).
+    log: Mutex<Option<TaggedLog>>,
 }
 
 impl std::fmt::Debug for WalSet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "WalSet({} shards in {:?}, {:?})",
-            self.shards.len(),
-            self.dir,
-            self.sync
-        )
+        write!(f, "WalSet({:?}, {:?})", self.dir, self.sync)
     }
 }
 
 impl WalSet {
-    /// Creates a set of `shards` logs (minimum 1) under `dir`, opened lazily.  `dir` is
-    /// created on first use; `compact_bytes` bounds a shard file's size before it is
-    /// rewritten to drop checkpointed tags' records.
+    /// Creates the log under `dir`, opened lazily.  `dir` is created on first use;
+    /// `compact_bytes` bounds the file's size before it is rewritten to drop
+    /// checkpointed tags' records.
     pub fn new(
         dir: impl Into<PathBuf>,
-        shards: usize,
         sync: SyncMode,
         group_commit: bool,
         compact_bytes: u64,
@@ -315,36 +282,27 @@ impl WalSet {
             sync,
             group_commit,
             compact_bytes,
-            shards: (0..shards.max(1)).map(|_| Mutex::new(None)).collect(),
+            log: Mutex::new(None),
         }
     }
 
-    /// The number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
+    fn path(&self) -> PathBuf {
+        self.dir.join(LOG_FILE)
     }
 
-    /// The shard a table tag appends to.
-    pub fn shard_of(&self, tag: &str) -> usize {
-        shard_index(tag, self.shards.len())
-    }
-
-    fn shard_path(&self, index: usize) -> PathBuf {
-        self.dir.join(format!("wal-shard-{index:04}.wal"))
-    }
-
-    /// Runs `f` on the (lazily opened) shard `index`.
-    fn with_shard<T>(
-        &self,
-        index: usize,
-        f: impl FnOnce(&mut WalShard) -> GsnResult<T>,
-    ) -> GsnResult<T> {
-        let mut slot = self.shards[index].lock();
+    /// Runs `f` on the (lazily opened) log.
+    ///
+    /// Opening refuses a directory that holds a non-empty `wal-shard-NNNN.wal` other
+    /// than the log itself: a sharded layout left it, and its acknowledged rows are in
+    /// no log this set reads.
+    fn with_log<T>(&self, f: impl FnOnce(&mut TaggedLog) -> GsnResult<T>) -> GsnResult<T> {
+        let mut slot = self.log.lock();
         if slot.is_none() {
             std::fs::create_dir_all(&self.dir).map_err(|e| {
                 GsnError::storage(format!("cannot create WAL directory {:?}: {e}", self.dir))
             })?;
-            let mut wal = Wal::open(&self.shard_path(index), self.sync)?;
+            self.refuse_other_shards()?;
+            let mut wal = Wal::open(&self.path(), self.sync)?;
             wal.set_group_commit(self.group_commit)?;
             // Rebuild the per-tag accounting from the surviving records.
             let mut tag_bytes: HashMap<String, u64> = HashMap::new();
@@ -359,9 +317,29 @@ impl WalSet {
                     None => {} // foreign/corrupt record: ignored, dropped at next compact
                 }
             }
-            *slot = Some(WalShard { wal, tag_bytes });
+            *slot = Some(TaggedLog { wal, tag_bytes });
         }
-        f(slot.as_mut().expect("shard opened above"))
+        f(slot.as_mut().expect("log opened above"))
+    }
+
+    fn refuse_other_shards(&self) -> GsnResult<()> {
+        let entries = std::fs::read_dir(&self.dir).map_err(|e| {
+            GsnError::storage(format!("cannot list WAL directory {:?}: {e}", self.dir))
+        })?;
+        for entry in entries.flatten() {
+            let name = entry.file_name();
+            let name = name.to_string_lossy();
+            let sharded = name.starts_with("wal-shard-") && name.ends_with(".wal");
+            if sharded && name != LOG_FILE && entry.metadata().is_ok_and(|m| m.len() > 0) {
+                return Err(GsnError::storage(format!(
+                    "the data directory holds a non-empty WAL shard {:?} from a sharded \
+                     layout; its rows are in no log this container reads, so durable \
+                     tables are not opened",
+                    entry.path()
+                )));
+            }
+        }
+        Ok(())
     }
 
     /// Appends one row record for `tag`, honouring the set's sync/group-commit modes.
@@ -371,24 +349,24 @@ impl WalSet {
                 "WAL table tag `{tag}` exceeds 254 bytes"
             )));
         }
-        self.with_shard(self.shard_of(tag), |shard| {
+        self.with_log(|log| {
             let mut tagged = Vec::with_capacity(1 + tag.len() + payload.len());
             tagged.push(tag.len() as u8);
             tagged.extend_from_slice(tag.as_bytes());
             tagged.extend_from_slice(payload);
             let frame_bytes = 8 + tagged.len() as u64;
-            shard.wal.append(&tagged)?;
-            *shard.tag_bytes.entry(tag.to_owned()).or_default() += frame_bytes;
+            log.wal.append(&tagged)?;
+            *log.tag_bytes.entry(tag.to_owned()).or_default() += frame_bytes;
             Ok(())
         })
     }
 
-    /// Reads every surviving row payload of `tag` from its shard, in append order.  A
-    /// tombstone discards everything appended before it.
+    /// Reads every surviving row payload of `tag`, in append order.  A tombstone
+    /// discards everything appended before it.
     pub fn replay_for(&self, tag: &str) -> GsnResult<Vec<Vec<u8>>> {
-        self.with_shard(self.shard_of(tag), |shard| {
+        self.with_log(|log| {
             let mut rows = Vec::new();
-            for record in shard.wal.replay()? {
+            for record in log.wal.replay()? {
                 match decode_tagged(&record) {
                     Some(TaggedRecord::Row { tag: t, row }) if t == tag => rows.push(row.to_vec()),
                     Some(TaggedRecord::Tombstone { tag: t }) if t == tag => rows.clear(),
@@ -399,59 +377,29 @@ impl WalSet {
         })
     }
 
-    /// Un-checkpointed logical bytes `tag` holds in its shard.
+    /// Un-checkpointed logical bytes `tag` holds in the log.
     pub fn tag_bytes(&self, tag: &str) -> u64 {
-        self.with_shard(self.shard_of(tag), |shard| {
-            Ok(shard.tag_bytes.get(tag).copied().unwrap_or(0))
-        })
-        .unwrap_or(0)
+        self.with_log(|log| Ok(log.tag_bytes.get(tag).copied().unwrap_or(0)))
+            .unwrap_or(0)
     }
 
-    /// The per-step group commit: drains every open shard's batch with one write (and
-    /// at most one fsync) per shard.  Every shard is attempted even when one fails; the
-    /// first error wins.  Returns one summary per shard that had records pending.
-    pub fn commit(&self) -> GsnResult<Vec<ShardCommit>> {
-        let mut commits = Vec::new();
-        let mut first_error = None;
-        for (index, slot) in self.shards.iter().enumerate() {
-            let mut slot = slot.lock();
-            let Some(shard) = slot.as_mut() else {
-                continue;
-            };
-            match shard.wal.commit() {
-                Ok(records) => {
-                    if records > 0 {
-                        commits.push(ShardCommit {
-                            shard: index,
-                            records,
-                            synced: self.sync == SyncMode::Always,
-                        });
-                    }
-                }
-                Err(e) => {
-                    first_error.get_or_insert(e);
-                }
-            }
-        }
-        match first_error {
-            Some(e) => Err(e),
-            None => Ok(commits),
+    /// The per-step group commit: drains the batch with one write and at most one
+    /// fsync.  Returns the number of records the batch held (0 when the log was never
+    /// opened or nothing was pending).
+    pub fn commit(&self) -> GsnResult<u64> {
+        match self.log.lock().as_mut() {
+            Some(log) => log.wal.commit(),
+            None => Ok(0),
         }
     }
 
     /// Marks `tag` checkpointed: its records are no longer needed (the heap is
-    /// authoritative).  Truncates the shard file once every tag is clean; compacts it
+    /// authoritative).  Truncates the file once every tag is clean; compacts it
     /// (dropping clean tags' records) when it outgrew the compaction threshold.
     pub fn checkpoint_tag(&self, tag: &str) -> GsnResult<()> {
-        let index = self.shard_of(tag);
-        self.with_shard(index, |shard| {
-            shard.tag_bytes.insert(tag.to_owned(), 0);
-            Self::truncate_or_compact(
-                shard,
-                &self.shard_path(index),
-                self.sync,
-                self.compact_bytes,
-            )
+        self.with_log(|log| {
+            log.tag_bytes.insert(tag.to_owned(), 0);
+            self.truncate_or_compact(log)
         })
     }
 
@@ -464,48 +412,37 @@ impl WalSet {
                 "WAL table tag `{tag}` exceeds 254 bytes"
             )));
         }
-        let index = self.shard_of(tag);
-        self.with_shard(index, |shard| {
+        self.with_log(|log| {
             let had_records =
-                shard.tag_bytes.get(tag).copied().unwrap_or(0) > 0 || shard.wal.len_bytes() > 0;
-            shard.tag_bytes.insert(tag.to_owned(), 0);
+                log.tag_bytes.get(tag).copied().unwrap_or(0) > 0 || log.wal.len_bytes() > 0;
+            log.tag_bytes.insert(tag.to_owned(), 0);
             if had_records {
                 let mut tombstone = Vec::with_capacity(2 + tag.len());
                 tombstone.push(TOMBSTONE_MARKER);
                 tombstone.push(tag.len() as u8);
                 tombstone.extend_from_slice(tag.as_bytes());
-                shard.wal.append(&tombstone)?;
-                shard.wal.sync()?;
+                log.wal.append(&tombstone)?;
+                log.wal.sync()?;
             }
-            Self::truncate_or_compact(
-                shard,
-                &self.shard_path(index),
-                self.sync,
-                self.compact_bytes,
-            )
+            self.truncate_or_compact(log)
         })
     }
 
-    /// Truncates the shard when every tag is clean, or rewrites it keeping only live
+    /// Truncates the log when every tag is clean, or rewrites it keeping only live
     /// tags' records when the file outgrew `compact_bytes`.
-    fn truncate_or_compact(
-        shard: &mut WalShard,
-        path: &Path,
-        sync: SyncMode,
-        compact_bytes: u64,
-    ) -> GsnResult<()> {
-        if shard.tag_bytes.values().all(|&bytes| bytes == 0) {
-            shard.tag_bytes.clear();
-            return shard.wal.reset();
+    fn truncate_or_compact(&self, log: &mut TaggedLog) -> GsnResult<()> {
+        if log.tag_bytes.values().all(|&bytes| bytes == 0) {
+            log.tag_bytes.clear();
+            return log.wal.reset();
         }
-        if shard.wal.len_bytes() <= compact_bytes {
+        if log.wal.len_bytes() <= self.compact_bytes {
             return Ok(());
         }
         // Compact: rewrite only the records of tags that still hold un-checkpointed
         // bytes, via a temp file + atomic rename (a crash mid-compact keeps the old
         // file intact).
-        let live = |tag: &str| shard.tag_bytes.get(tag).copied().unwrap_or(0) > 0;
-        let survivors: Vec<Vec<u8>> = shard
+        let live = |tag: &str| log.tag_bytes.get(tag).copied().unwrap_or(0) > 0;
+        let survivors: Vec<Vec<u8>> = log
             .wal
             .replay()?
             .into_iter()
@@ -515,6 +452,7 @@ impl WalSet {
                 None => false,
             })
             .collect();
+        let path = self.path();
         let tmp = path.with_extension("wal.tmp");
         match std::fs::remove_file(&tmp) {
             Ok(()) | Err(_) => {} // best effort: Wal::open truncates logically via reset below
@@ -527,11 +465,11 @@ impl WalSet {
             }
             fresh.sync()?;
         }
-        std::fs::rename(&tmp, path)
+        std::fs::rename(&tmp, &path)
             .map_err(|e| GsnError::storage(format!("cannot swap compacted WAL {path:?}: {e}")))?;
-        shard.wal = {
-            let mut wal = Wal::open(path, sync)?;
-            wal.set_group_commit(shard.wal.group_commit)?;
+        log.wal = {
+            let mut wal = Wal::open(&path, self.sync)?;
+            wal.set_group_commit(log.wal.group_commit)?;
             wal
         };
         Ok(())
@@ -543,7 +481,7 @@ enum TaggedRecord<'a> {
     Tombstone { tag: &'a str },
 }
 
-/// Decodes a shard record into its tag + row (or tombstone), `None` when malformed.
+/// Decodes a log record into its tag + row (or tombstone), `None` when malformed.
 fn decode_tagged(record: &[u8]) -> Option<TaggedRecord<'_>> {
     let (&first, rest) = record.split_first()?;
     if first == TOMBSTONE_MARKER {
@@ -685,7 +623,7 @@ mod tests {
     #[test]
     fn wal_set_multiplexes_tags_and_replays_per_tag() {
         let dir = crate::testutil::temp_dir("walset-tags");
-        let set = WalSet::new(&dir, 4, SyncMode::OnCheckpoint, false, 1 << 20);
+        let set = WalSet::new(&dir, SyncMode::OnCheckpoint, false, 1 << 20);
         for i in 0..5u8 {
             set.append("alpha", &[b'a', i]).unwrap();
             set.append("beta", &[b'b', i]).unwrap();
@@ -698,38 +636,50 @@ mod tests {
         assert!(beta.iter().all(|r| r[0] == b'b'));
         assert!(set.tag_bytes("alpha") > 0);
         // A fresh set over the same directory rebuilds the accounting from disk.
-        let reopened = WalSet::new(&dir, 4, SyncMode::OnCheckpoint, false, 1 << 20);
+        let reopened = WalSet::new(&dir, SyncMode::OnCheckpoint, false, 1 << 20);
         assert_eq!(reopened.replay_for("alpha").unwrap(), alpha);
         assert_eq!(reopened.tag_bytes("beta"), set.tag_bytes("beta"));
     }
 
     #[test]
-    fn wal_set_commit_drains_each_shard_once() {
+    fn wal_set_commit_drains_the_batch_once() {
         let dir = crate::testutil::temp_dir("walset-commit");
-        let set = WalSet::new(&dir, 2, SyncMode::Always, true, 1 << 20);
+        let set = WalSet::new(&dir, SyncMode::Always, true, 1 << 20);
+        // Nothing opened yet → nothing committed.
+        assert_eq!(set.commit().unwrap(), 0);
         for i in 0..8u8 {
             set.append(&format!("table-{i}"), &[i]).unwrap();
         }
-        let commits = set.commit().unwrap();
-        let total: u64 = commits.iter().map(|c| c.records).sum();
-        assert_eq!(total, 8);
-        assert!(commits.len() <= 2, "at most one commit per shard");
-        assert!(commits.iter().all(|c| c.synced));
+        assert_eq!(set.commit().unwrap(), 8);
         // Nothing pending → nothing committed.
-        assert!(set.commit().unwrap().is_empty());
+        assert_eq!(set.commit().unwrap(), 0);
+        assert_eq!(set.replay_for("table-3").unwrap(), vec![vec![3u8]]);
+    }
+
+    #[test]
+    fn wal_set_refuses_a_second_shard_file() {
+        let dir = crate::testutil::temp_dir("walset-second-shard");
+        std::fs::write(dir.join("wal-shard-0001.wal"), b"rows").unwrap();
+        let set = WalSet::new(&dir, SyncMode::OnCheckpoint, false, 1 << 20);
+        let err = set.append("t", b"row").unwrap_err().to_string();
+        assert!(err.contains("wal-shard-0001.wal"), "{err}");
+        // An empty one is harmless.
+        std::fs::write(dir.join("wal-shard-0001.wal"), b"").unwrap();
+        set.append("t", b"row").unwrap();
+        assert_eq!(set.replay_for("t").unwrap(), vec![b"row".to_vec()]);
     }
 
     #[test]
     fn wal_set_checkpoint_clears_tag_and_resets_when_all_clean() {
         let dir = crate::testutil::temp_dir("walset-checkpoint");
-        let set = WalSet::new(&dir, 1, SyncMode::OnCheckpoint, false, 1 << 20);
+        let set = WalSet::new(&dir, SyncMode::OnCheckpoint, false, 1 << 20);
         set.append("left", b"l1").unwrap();
         set.append("right", b"r1").unwrap();
         set.checkpoint_tag("left").unwrap();
         assert_eq!(set.tag_bytes("left"), 0);
         // Right's records survive the left checkpoint…
         assert_eq!(set.replay_for("right").unwrap(), vec![b"r1".to_vec()]);
-        // …and once right is clean too, the single shard file truncates.
+        // …and once right is clean too, the file truncates.
         set.checkpoint_tag("right").unwrap();
         assert!(set.replay_for("left").unwrap().is_empty());
         assert!(set.replay_for("right").unwrap().is_empty());
@@ -739,14 +689,14 @@ mod tests {
     fn wal_set_tombstone_survives_reopen() {
         let dir = crate::testutil::temp_dir("walset-tombstone");
         {
-            let set = WalSet::new(&dir, 1, SyncMode::OnCheckpoint, false, u64::MAX);
+            let set = WalSet::new(&dir, SyncMode::OnCheckpoint, false, u64::MAX);
             set.append("doomed", b"old row").unwrap();
             set.append("keeper", b"live row").unwrap();
             set.drop_tag("doomed").unwrap();
         }
         // The drop is durable: a re-opened set must not resurrect the dead tag's rows
-        // even though its records still sit in the shard file before the tombstone.
-        let set = WalSet::new(&dir, 1, SyncMode::OnCheckpoint, false, u64::MAX);
+        // even though its records still sit in the log before the tombstone.
+        let set = WalSet::new(&dir, SyncMode::OnCheckpoint, false, u64::MAX);
         assert!(set.replay_for("doomed").unwrap().is_empty());
         assert_eq!(set.tag_bytes("doomed"), 0);
         assert_eq!(
@@ -756,28 +706,24 @@ mod tests {
     }
 
     #[test]
-    fn wal_set_compacts_oversized_shard_keeping_live_tags() {
+    fn wal_set_compacts_an_oversized_log_keeping_live_tags() {
         let dir = crate::testutil::temp_dir("walset-compact");
         // Tiny compaction threshold forces a rewrite on the first checkpoint.
-        let set = WalSet::new(&dir, 1, SyncMode::OnCheckpoint, false, 64);
+        let set = WalSet::new(&dir, SyncMode::OnCheckpoint, false, 64);
         for i in 0..20u8 {
             set.append("bulk", &[i; 32]).unwrap();
         }
         set.append("live", b"must survive").unwrap();
         set.checkpoint_tag("bulk").unwrap();
-        // The shard was rewritten: far smaller than the bulk records it held…
-        let shard_file = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .find(|e| e.file_name().to_string_lossy().ends_with(".wal"))
-            .expect("shard file exists");
-        assert!(shard_file.metadata().unwrap().len() < 512);
+        // The log was rewritten: far smaller than the bulk records it held…
+        let log = std::fs::metadata(dir.join(LOG_FILE)).expect("log file exists");
+        assert!(log.len() < 512);
         // …but the live tag's record survived, including across a reopen.
         assert_eq!(
             set.replay_for("live").unwrap(),
             vec![b"must survive".to_vec()]
         );
-        let reopened = WalSet::new(&dir, 1, SyncMode::OnCheckpoint, false, 64);
+        let reopened = WalSet::new(&dir, SyncMode::OnCheckpoint, false, 64);
         assert_eq!(
             reopened.replay_for("live").unwrap(),
             vec![b"must survive".to_vec()]

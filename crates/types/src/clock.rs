@@ -129,6 +129,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods)] // the property under test needs other threads
     fn simulated_clock_is_thread_safe() {
         let c = SimulatedClock::new();
         let handles: Vec<_> = (0..8)

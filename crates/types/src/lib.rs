@@ -25,7 +25,6 @@
 pub mod clock;
 pub mod codec;
 pub mod element;
-pub mod epoch;
 pub mod error;
 pub mod ident;
 pub mod schema;
@@ -34,7 +33,6 @@ pub mod value;
 
 pub use clock::{Clock, SimulatedClock, SystemClock};
 pub use element::StreamElement;
-pub use epoch::EpochCell;
 pub use error::{GsnError, GsnResult};
 pub use ident::{FieldName, NodeId, VirtualSensorName};
 pub use schema::{FieldSpec, StreamSchema};

@@ -5,14 +5,16 @@
 //! of that XML descriptor: parsing, validation, serialisation and a builder API for
 //! programmatic deployment (used by the examples and by benchmark workload generators).
 //!
-//! The descriptor grammar follows the paper's Figure 1:
+//! The descriptor grammar follows the paper's Figure 1, without its
+//! `<life-cycle pool-size>` element: a container runs every virtual sensor on the
+//! caller's thread, so a per-sensor thread pool has no meaning here, and a descriptor
+//! that carries the element is refused rather than silently ignored.
 //!
 //! ```xml
 //! <virtual-sensor name="room-bc143-temperature" priority="10">
 //!   <description>Averaged room temperature</description>
 //!   <metadata key="type" val="temperature" />
 //!   <metadata key="location" val="bc143" />
-//!   <life-cycle pool-size="10" />
 //!   <output-structure>
 //!     <field name="TEMPERATURE" type="integer" />
 //!   </output-structure>
@@ -37,25 +39,8 @@ use crate::dom::XmlElement;
 use crate::parser::parse_document;
 use crate::writer::write_document;
 
-/// Default worker pool size when `<life-cycle>` is omitted.
-pub const DEFAULT_POOL_SIZE: usize = 1;
 /// Default disconnect buffer (elements buffered while a source is unreachable).
 pub const DEFAULT_DISCONNECT_BUFFER: usize = 10;
-
-/// The `<life-cycle>` element: resources granted to the virtual sensor.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LifeCycleConfig {
-    /// Number of worker threads the container grants this sensor.
-    pub pool_size: usize,
-}
-
-impl Default for LifeCycleConfig {
-    fn default() -> Self {
-        LifeCycleConfig {
-            pool_size: DEFAULT_POOL_SIZE,
-        }
-    }
-}
 
 /// Which storage engine the container should use for a sensor's output table
 /// (`<storage backend="...">`).
@@ -268,8 +253,6 @@ pub struct VirtualSensorDescriptor {
     pub description: Option<String>,
     /// Key–value metadata published to the directory for discovery.
     pub metadata: Vec<(String, String)>,
-    /// Life-cycle / resource configuration.
-    pub life_cycle: LifeCycleConfig,
     /// The declared output structure.
     pub output_structure: StreamSchema,
     /// Output persistence.
@@ -287,7 +270,6 @@ impl VirtualSensorDescriptor {
                 priority: 10,
                 description: None,
                 metadata: Vec::new(),
-                life_cycle: LifeCycleConfig::default(),
                 output_structure: StreamSchema::empty(),
                 storage: StorageConfig::default(),
                 input_streams: Vec::new(),
@@ -330,12 +312,12 @@ impl VirtualSensorDescriptor {
             metadata.push((key.to_owned(), val.to_owned()));
         }
 
-        let life_cycle = match root.first_element("life-cycle") {
-            Some(lc) => LifeCycleConfig {
-                pool_size: parse_attr_or(lc, "pool-size", DEFAULT_POOL_SIZE)?,
-            },
-            None => LifeCycleConfig::default(),
-        };
+        if root.first_element("life-cycle").is_some() {
+            return Err(GsnError::descriptor(format!(
+                "virtual sensor `{name}` declares <life-cycle>, which this container does \
+                 not support: every virtual sensor runs on the container's one thread"
+            )));
+        }
 
         let output_structure = {
             let os = root.first_element("output-structure").ok_or_else(|| {
@@ -416,7 +398,6 @@ impl VirtualSensorDescriptor {
             priority,
             description,
             metadata,
-            life_cycle,
             output_structure,
             storage,
             input_streams,
@@ -438,9 +419,6 @@ impl VirtualSensorDescriptor {
                 "virtual sensor `{}` declares no input stream",
                 self.name
             )));
-        }
-        if self.life_cycle.pool_size == 0 {
-            return Err(GsnError::descriptor("pool-size must be at least 1"));
         }
         for is in &self.input_streams {
             if is.sources.is_empty() {
@@ -553,10 +531,6 @@ impl VirtualSensorDescriptor {
                     .with_attr("val", v.clone()),
             );
         }
-        root = root.with_child(
-            XmlElement::new("life-cycle")
-                .with_attr("pool-size", self.life_cycle.pool_size.to_string()),
-        );
         let mut os = XmlElement::new("output-structure");
         for field in self.output_structure.fields() {
             let mut fe = XmlElement::new("field")
@@ -715,12 +689,6 @@ impl DescriptorBuilder {
         self
     }
 
-    /// Sets the worker pool size.
-    pub fn pool_size(mut self, pool_size: usize) -> Self {
-        self.descriptor.life_cycle.pool_size = pool_size;
-        self
-    }
-
     /// Adds an output field.
     pub fn output_field(mut self, name: &str, data_type: DataType) -> GsnResult<Self> {
         self.descriptor
@@ -764,13 +732,13 @@ impl DescriptorBuilder {
 mod tests {
     use super::*;
 
-    /// The paper's Figure 1 descriptor, completed into a full document.
+    /// The paper's Figure 1 descriptor without `<life-cycle>`, completed into a full
+    /// document.
     pub const PAPER_DESCRIPTOR: &str = r#"<?xml version="1.0"?>
 <virtual-sensor name="room-bc143-temperature" priority="10">
   <description>Averaged temperature of room BC143</description>
   <metadata key="type" val="temperature" />
   <metadata key="location" val="bc143" />
-  <life-cycle pool-size="10" />
   <output-structure>
     <field name="TEMPERATURE" type="integer"/>
   </output-structure>
@@ -792,7 +760,6 @@ mod tests {
         let d = VirtualSensorDescriptor::parse(PAPER_DESCRIPTOR).unwrap();
         assert_eq!(d.name.as_str(), "room-bc143-temperature");
         assert_eq!(d.priority, 10);
-        assert_eq!(d.life_cycle.pool_size, 10);
         assert!(d.storage.permanent);
         assert_eq!(
             d.storage.history,
@@ -835,7 +802,6 @@ mod tests {
             .priority(5)
             .description("light level")
             .metadata("type", "light")
-            .pool_size(4)
             .output_field("light", DataType::Double)
             .unwrap()
             .permanent_storage(false)
@@ -937,8 +903,17 @@ mod tests {
         assert!(VirtualSensorDescriptor::parse(&bad_window).is_err());
         let bad_type = PAPER_DESCRIPTOR.replace("type=\"integer\"", "type=\"quaternion\"");
         assert!(VirtualSensorDescriptor::parse(&bad_type).is_err());
-        let bad_pool = PAPER_DESCRIPTOR.replace("pool-size=\"10\"", "pool-size=\"0\"");
-        assert!(VirtualSensorDescriptor::parse(&bad_pool).is_err());
+    }
+
+    #[test]
+    fn life_cycle_element_is_refused() {
+        let with_pool = PAPER_DESCRIPTOR.replace(
+            "<output-structure>",
+            "<life-cycle pool-size=\"10\" />\n  <output-structure>",
+        );
+        let err = VirtualSensorDescriptor::parse(&with_pool).unwrap_err();
+        assert_eq!(err.category(), "descriptor");
+        assert!(err.to_string().contains("<life-cycle>"), "{err}");
     }
 
     #[test]
@@ -993,7 +968,6 @@ mod tests {
         </virtual-sensor>"#;
         let d = VirtualSensorDescriptor::parse(minimal).unwrap();
         assert_eq!(d.priority, 10);
-        assert_eq!(d.life_cycle.pool_size, DEFAULT_POOL_SIZE);
         assert!(!d.storage.permanent);
         let src = &d.input_streams[0].sources[0];
         assert_eq!(src.window, WindowSpec::LatestOnly);

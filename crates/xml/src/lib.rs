@@ -23,8 +23,8 @@ pub mod parser;
 pub mod writer;
 
 pub use descriptor::{
-    AddressSpec, DescriptorBuilder, InputStreamSpec, LifeCycleConfig, StorageBackendChoice,
-    StorageConfig, StreamSourceSpec, VirtualSensorDescriptor,
+    AddressSpec, DescriptorBuilder, InputStreamSpec, StorageBackendChoice, StorageConfig,
+    StreamSourceSpec, VirtualSensorDescriptor,
 };
 pub use dom::{XmlElement, XmlNode};
 pub use parser::parse_document;

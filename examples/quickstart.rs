@@ -23,7 +23,6 @@ const DESCRIPTOR: &str = r#"
   <description>Averaged temperature of room BC143</description>
   <metadata key="type" val="temperature" />
   <metadata key="location" val="bc143" />
-  <life-cycle pool-size="10" />
   <output-structure>
     <field name="TEMPERATURE" type="double" />
   </output-structure>

@@ -5,10 +5,10 @@
 //!    repository evaluating incrementally (delta cursor + resident operator state)
 //!    must produce *identical* results to one re-executing the full window per
 //!    element.
-//! 2. **Sharded evaluation parity.**  A container running `workers = 4` — whose query
-//!    repository is partitioned across four shards — must report the same per-sensor
-//!    outputs and the same registered-query activity as the sequential `workers = 1`
-//!    run.
+//! 2. **Container-level parity.**  A container evaluating its registered queries
+//!    incrementally must report the same per-sensor outputs and the same
+//!    registered-query activity as one re-evaluating every query in full, and a
+//!    second run must repeat the first exactly.
 
 use std::sync::Arc;
 
@@ -135,8 +135,8 @@ proptest! {
         storage
             .create_table("sensor_out", schema(), Retention::Unbounded)
             .unwrap();
-        let incremental = QueryRepository::with_partitions(1, true);
-        let full = QueryRepository::with_partitions(1, false);
+        let incremental = QueryRepository::new(true);
+        let full = QueryRepository::new(false);
         for (i, spec) in queries.iter().enumerate() {
             let sql = query_sql(spec);
             incremental
@@ -200,8 +200,8 @@ proptest! {
         storage
             .create_table("sensor_out", schema(), Retention::Elements(retention))
             .unwrap();
-        let incremental = QueryRepository::with_partitions(1, true);
-        let full = QueryRepository::with_partitions(1, false);
+        let incremental = QueryRepository::new(true);
+        let full = QueryRepository::new(false);
         for repo in [&incremental, &full] {
             repo.register(
                 "c",
@@ -272,7 +272,7 @@ fn time_window_seeding_reads_a_bounded_page_range() {
         storage.insert("sensor_out", element, Timestamp(i)).unwrap();
     }
 
-    let incremental = QueryRepository::with_partitions(1, true);
+    let incremental = QueryRepository::new(true);
     incremental
         .register(
             "c",
@@ -304,7 +304,7 @@ fn time_window_seeding_reads_a_bounded_page_range() {
     );
 
     // Parity: the bounded seed computes the same answer as full re-evaluation.
-    let full = QueryRepository::with_partitions(1, false);
+    let full = QueryRepository::new(false);
     full.register(
         "c",
         "select count(*) as n, sum(temperature) as s from sensor_out",
@@ -341,7 +341,7 @@ fn registered_query_re_evaluates_when_its_subquery_table_changes() {
     for temperature in [10, 20, 30] {
         insert("readings", temperature, 1);
     }
-    let repo = QueryRepository::with_partitions(2, true);
+    let repo = QueryRepository::new(true);
     let id = repo
         .register(
             "c",
@@ -371,7 +371,7 @@ fn registered_query_re_evaluates_when_its_subquery_table_changes() {
 }
 
 // ---------------------------------------------------------------------------------------
-// Sharded query evaluation parity (workers = 1 vs workers = 4)
+// Container-level parity: incremental vs full evaluation
 // ---------------------------------------------------------------------------------------
 
 fn mote_descriptor(name: &str, interval_ms: u32, seed: u32) -> VirtualSensorDescriptor {
@@ -412,15 +412,14 @@ struct QueryRun {
     incremental: u64,
     fallback: u64,
     failed: u64,
-    partitions_used: usize,
 }
 
-fn run_query_workload(workers: usize, incremental: bool) -> QueryRun {
+fn run_query_workload(incremental: bool) -> QueryRun {
     const SENSORS: usize = 8;
     let clock = SimulatedClock::new();
     let config = ContainerConfig {
         incremental_queries: incremental,
-        ..ContainerConfig::default().with_workers(workers)
+        ..ContainerConfig::default()
     };
     let mut node = GsnContainer::new(config, Arc::new(clock.clone()));
     let names: Vec<String> = (0..SENSORS).map(|i| format!("mote-{i}")).collect();
@@ -429,7 +428,7 @@ fn run_query_workload(workers: usize, incremental: bool) -> QueryRun {
             .unwrap();
         let table = name.replace('-', "_");
         // Two registered queries per sensor: one incremental-friendly aggregate, one
-        // shape that falls back — both must behave identically across worker counts.
+        // shape that falls back.
         node.register_query(
             &format!("agg-client-{i}"),
             &format!("select count(*) as n, avg(avg_temp) as a from {table}"),
@@ -472,47 +471,26 @@ fn run_query_workload(workers: usize, incremental: bool) -> QueryRun {
         incremental: counter(&status, "gsn_query_incremental_total"),
         fallback: counter(&status, "gsn_query_fallback_total"),
         failed: status.queries.registered_failed,
-        partitions_used: status
-            .query_partitions
-            .iter()
-            .filter(|p| p.registered > 0)
-            .count(),
     }
 }
 
 #[test]
-fn sharded_query_evaluation_matches_sequential() {
-    let sequential = run_query_workload(1, true);
-    let sharded = run_query_workload(4, true);
-
-    assert_eq!(sequential.reports, sharded.reports);
-    assert_eq!(sequential.tables, sharded.tables);
-    assert_eq!(sequential.evaluated, sharded.evaluated);
-    assert_eq!(sequential.incremental, sharded.incremental);
-    assert_eq!(sequential.fallback, sharded.fallback);
-    assert_eq!(sequential.failed, 0);
-    assert_eq!(sharded.failed, 0);
-
-    // The workload actually exercised both paths, and the sharded run spread its
-    // queries across more than one partition.
-    assert!(sequential.evaluated > 0);
-    assert!(sequential.incremental > 0);
-    assert!(sequential.fallback > 0);
-    assert_eq!(sequential.partitions_used, 1);
-    assert!(
-        sharded.partitions_used > 1,
-        "queries all hashed to one shard"
-    );
-}
-
-#[test]
 fn incremental_and_full_containers_agree_on_counters() {
-    let incremental = run_query_workload(4, true);
-    let full = run_query_workload(4, false);
+    let incremental = run_query_workload(true);
+    let full = run_query_workload(false);
     // Evaluation *activity* is identical; only the execution strategy differs.
     assert_eq!(incremental.reports, full.reports);
     assert_eq!(incremental.tables, full.tables);
     assert_eq!(incremental.evaluated, full.evaluated);
     assert_eq!(full.incremental, 0);
     assert_eq!(full.fallback, full.evaluated);
+    // The workload exercised both paths, and no evaluation failed.
+    assert!(incremental.evaluated > 0);
+    assert!(incremental.incremental > 0);
+    assert!(incremental.fallback > 0);
+    assert_eq!(incremental.failed + full.failed, 0);
+    // Deterministic: a second run repeats every report and table exactly.
+    let again = run_query_workload(true);
+    assert_eq!(incremental.reports, again.reports);
+    assert_eq!(incremental.tables, again.tables);
 }

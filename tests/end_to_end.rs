@@ -25,13 +25,13 @@ fn run(node: &mut GsnContainer, clock: &SimulatedClock, millis: i64, tick: i64) 
 #[test]
 fn paper_figure1_descriptor_end_to_end() {
     let (mut node, clock) = new_node();
-    // The paper's Figure 1 descriptor with a local mote standing in for the remote source.
+    // The paper's Figure 1 descriptor with a local mote standing in for the remote source
+    // and without `<life-cycle>`, which a container refuses.
     let name = node
         .deploy_xml(
             r#"<virtual-sensor name="room-bc143-temperature" priority="10">
                  <metadata key="type" val="temperature" />
                  <metadata key="location" val="bc143" />
-                 <life-cycle pool-size="10" />
                  <output-structure>
                    <field name="TEMPERATURE" type="double"/>
                  </output-structure>

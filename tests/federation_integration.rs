@@ -179,6 +179,77 @@ fn three_node_chain_of_remote_sensors() {
     assert!((10.0..=40.0).contains(&t));
 }
 
+/// A `wrapper="remote"` consumer of the sensor `reads`, published under
+/// `type=<publishes>`.
+fn relay(name: &str, reads: &str, publishes: &str) -> VirtualSensorDescriptor {
+    VirtualSensorDescriptor::builder(name)
+        .unwrap()
+        .metadata("type", publishes)
+        .output_field("temperature", DataType::Double)
+        .unwrap()
+        .input_stream(
+            InputStreamSpec::new("main", "select * from r").with_source(
+                StreamSourceSpec::new(
+                    "r",
+                    AddressSpec::new("remote").with_predicate("type", reads),
+                    "select temperature from WRAPPER",
+                )
+                .with_window(WindowSpec::Count(1)),
+            ),
+        )
+        .build()
+        .unwrap()
+}
+
+/// Runs a loop-back chain `stage-c → stage-b → stage-a` on one node for one step and
+/// returns the step report and every stage's table.  The chain runs against name
+/// order, so each stage runs before the one feeding it: only inline delivery gets an
+/// arrival at `stage-c` through to `stage-a` within the step.
+fn loop_back_chain() -> (gsn::StepReport, Vec<Vec<Vec<gsn::types::Value>>>) {
+    let mut mesh = Mesh::new();
+    let node = mesh.add_node("solo").unwrap();
+    let container = mesh.node_mut(node).unwrap();
+    container
+        .deploy(temperature_producer("stage-c", "lab", 100))
+        .unwrap();
+    container
+        .deploy(relay("stage-b", "temperature", "relayed"))
+        .unwrap();
+    container
+        .deploy(relay("stage-a", "relayed", "end-of-chain"))
+        .unwrap();
+    let mut report = mesh.step(Duration::from_secs(1));
+    report.processing_micros = 0;
+    let container = mesh.node(node).unwrap();
+    let tables = ["stage_c", "stage_b", "stage_a"]
+        .iter()
+        .map(|table| {
+            let sql = format!("select pk, timed, temperature from {table}");
+            container.query(&sql).unwrap().rows().to_vec()
+        })
+        .collect();
+    assert_eq!(mesh.network().stats().sent, 0, "loop-back sends no frame");
+    (report, tables)
+}
+
+#[test]
+fn loop_back_chain_delivers_inline_within_one_step() {
+    let (report, tables) = loop_back_chain();
+    assert_eq!(report.local_arrivals, 10);
+    assert_eq!(report.remote_arrivals, 20);
+    assert_eq!(report.outputs, 30);
+    assert_eq!(report.errors, 0);
+    // Every stage saw all ten readings, with the same values end to end.
+    let values = |rows: &Vec<Vec<gsn::types::Value>>| -> Vec<gsn::types::Value> {
+        rows.iter().map(|row| row[2].clone()).collect()
+    };
+    assert_eq!(tables[0].len(), 10);
+    assert_eq!(values(&tables[0]), values(&tables[1]));
+    assert_eq!(values(&tables[1]), values(&tables[2]));
+    // Two runs agree exactly.
+    assert_eq!(loop_back_chain(), (report, tables));
+}
+
 #[test]
 fn lossy_links_still_deliver_a_usable_stream() {
     let mut fed = Mesh::new();

@@ -233,6 +233,8 @@ proptest! {
             let disk = FakeDisk::default();
             let table = pool.register_table(Box::new(disk.clone()));
             let pool = Arc::clone(&pool);
+            // The property under test needs other threads.
+            #[allow(clippy::disallowed_methods)]
             handles.push(std::thread::spawn(move || -> Result<(), String> {
                 let mut rng = seed | 1;
                 let mut next = move || {
@@ -617,6 +619,122 @@ fn without_data_dir_history_stays_in_memory() {
     assert_eq!(n.rows()[0][0], Value::Integer(0));
 }
 
+/// What one container run shows from the outside.
+#[derive(Debug, PartialEq)]
+struct ObservedRun {
+    /// One report per step, `processing_micros` zeroed (it is wall-clock).
+    reports: Vec<gsn::StepReport>,
+    /// Per sensor: the output table as (pk, avg_temp) rows.
+    tables: Vec<Vec<(Value, Value)>>,
+    /// Per sensor: the notified AVG_TEMP values, in delivery order.
+    notifications: Vec<Vec<Value>>,
+}
+
+/// Twelve `permanent-storage` motes at varied rates, each with a subscription and a
+/// registered query over its own output, stepped six times — with durable storage
+/// under `data_dir`, or in memory without one.
+fn run_observed_workload(data_dir: Option<PathBuf>) -> ObservedRun {
+    const SENSORS: usize = 12;
+    let clock = SimulatedClock::new();
+    let mut config = ContainerConfig::default();
+    if let Some(dir) = data_dir {
+        config = config.with_data_dir(dir);
+    }
+    let mut node = GsnContainer::new(config, Arc::new(clock.clone()));
+    let names: Vec<String> = (0..SENSORS).map(|i| format!("mote-{i}")).collect();
+    let mut receivers = Vec::new();
+    for (i, name) in names.iter().enumerate() {
+        let interval = 100 + 50 * (i % 4);
+        let descriptor = VirtualSensorDescriptor::builder(name)
+            .unwrap()
+            .output_field("avg_temp", DataType::Double)
+            .unwrap()
+            .permanent_storage(true)
+            .input_stream(
+                InputStreamSpec::new("main", "select * from src1").with_source(
+                    StreamSourceSpec::new(
+                        "src1",
+                        AddressSpec::new("mote")
+                            .with_predicate("interval", &interval.to_string())
+                            .with_predicate("seed", &i.to_string()),
+                        "select avg(temperature) as avg_temp from WRAPPER",
+                    )
+                    .with_window(WindowSpec::Count(10)),
+                ),
+            )
+            .build()
+            .unwrap();
+        node.deploy(descriptor).unwrap();
+        receivers.push(node.subscribe(name).unwrap().1);
+        node.register_query(
+            &format!("client-{i}"),
+            &format!("select avg(avg_temp) as a from {}", name.replace('-', "_")),
+            WindowSpec::Count(20),
+            None,
+        )
+        .unwrap();
+    }
+    let reports = (0..6)
+        .map(|_| {
+            clock.advance(Duration::from_secs(1));
+            let mut report = node.step();
+            report.processing_micros = 0;
+            report
+        })
+        .collect();
+    let tables = names
+        .iter()
+        .map(|name| {
+            let sql = format!("select pk, avg_temp from {}", name.replace('-', "_"));
+            node.query(&sql)
+                .unwrap()
+                .rows()
+                .iter()
+                .map(|row| (row[0].clone(), row[1].clone()))
+                .collect()
+        })
+        .collect();
+    let notifications = receivers
+        .iter()
+        .map(|rx| {
+            rx.try_iter()
+                .map(|n| n.element.value("AVG_TEMP").unwrap())
+                .collect()
+        })
+        .collect();
+    ObservedRun {
+        reports,
+        tables,
+        notifications,
+    }
+}
+
+/// Durable storage changes nothing a container shows: the same workload in memory and
+/// on disk gives the same step reports, output tables and notification streams, and a
+/// second run repeats the first.
+#[test]
+fn memory_and_durable_containers_agree() {
+    let memory = run_observed_workload(None);
+    let dir = temp_dir("memory-vs-durable");
+    let durable = run_observed_workload(Some(dir.clone()));
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(memory, durable);
+    assert_eq!(memory, run_observed_workload(None));
+    // The workload produced data and evaluated registered queries.
+    assert!(memory.reports.iter().map(|r| r.outputs).sum::<u64>() > 100);
+    assert!(memory.reports.iter().all(|r| r.errors == 0));
+    assert!(
+        memory
+            .reports
+            .iter()
+            .map(|r| r.client_query_evaluations)
+            .sum::<u64>()
+            > 0
+    );
+    assert!(memory.tables.iter().all(|t| !t.is_empty()));
+    assert!(memory.notifications.iter().all(|n| !n.is_empty()));
+}
+
 /// A table far larger than its buffer pool still answers windowed SQL correctly while
 /// the pool stays within its page budget.
 #[test]
@@ -764,7 +882,7 @@ fn undeploy_deletes_durable_state() {
 }
 
 // ---------------------------------------------------------------------------------------
-// Lock-free hot path: region sharding and per-shard WAL batching
+// Lock-free hot path: buffer-pool regions and WAL batching
 // ---------------------------------------------------------------------------------------
 
 /// Concurrent scans of pages living in distinct clock regions never block each other:
@@ -772,6 +890,7 @@ fn undeploy_deletes_durable_state() {
 /// only the owning region's latch, so the pool's `contended` counter must stay zero
 /// however the threads interleave.
 #[test]
+#[allow(clippy::disallowed_methods)] // the property under test needs other threads
 fn concurrent_scans_of_distinct_regions_never_contend() {
     let pool = Arc::new(SharedBufferPool::with_regions(8, 8));
     assert!(pool.region_count() >= 4);
@@ -823,91 +942,127 @@ fn concurrent_scans_of_distinct_regions_never_contend() {
     );
 }
 
-/// Rows acknowledged at the step commit survive a crash whatever the shard count: the
-/// same ingest runs over 1 and 4 WAL shards, each manager is "crashed" right after the
-/// commit with dirty pages unflushed (`mem::forget` skips the checkpoint-on-drop), and
-/// recovery must replay exactly the inserted rows from the shard logs.  Every durable
-/// table logs through those shards, and a spilled window logs nothing, so no
-/// `<table>.wal` or `__spill.wal` may appear.
+/// Rows acknowledged at the step commit survive a crash: the manager is "crashed"
+/// right after the commit with dirty pages unflushed (`mem::forget` skips the
+/// checkpoint-on-drop), and recovery must replay exactly the inserted rows from the one
+/// log.  Every durable table logs through it, and a spilled window logs nothing, so no
+/// other `.wal` file may appear.
 #[test]
-fn wal_crash_replay_recovers_every_row_at_1_and_4_shards() {
+fn wal_crash_replay_recovers_every_row_from_the_one_log() {
     let schema = Arc::new(StreamSchema::from_pairs(&[("v", DataType::Integer)]).unwrap());
     let tables = ["alpha", "bravo", "charlie", "delta", "echo"];
     let rows_per_table = 200i64;
     let value = |t: usize, i: i64| t as i64 * 10_000 + i;
 
-    for shards in [1usize, 4] {
-        let dir = temp_dir(&format!("wal-crash-{shards}"));
-        let mut options = StorageOptions::at(&dir)
-            .with_wal_shards(shards)
-            .with_window_spill(1024);
-        options.persistent.sync = SyncMode::Always;
-        options.persistent.group_commit = true;
+    let dir = temp_dir("wal-crash");
+    let mut options = StorageOptions::at(&dir).with_window_spill(1024);
+    options.persistent.sync = SyncMode::Always;
+    options.persistent.group_commit = true;
 
-        let storage = StorageManager::with_options(options.clone());
+    let storage = StorageManager::with_options(options.clone());
+    storage
+        .create_table("window", Arc::clone(&schema), Retention::Unbounded)
+        .unwrap();
+    for (t, name) in tables.iter().enumerate() {
         storage
-            .create_table("window", Arc::clone(&schema), Retention::Unbounded)
+            .create_table_durable(name, Arc::clone(&schema), Retention::Unbounded)
             .unwrap();
-        for (t, name) in tables.iter().enumerate() {
-            storage
-                .create_table_durable(name, Arc::clone(&schema), Retention::Unbounded)
+        for i in 0..rows_per_table {
+            for table in [*name, "window"] {
+                let e = StreamElement::new(
+                    Arc::clone(&schema),
+                    vec![Value::Integer(value(t, i))],
+                    Timestamp(i),
+                )
                 .unwrap();
-            for i in 0..rows_per_table {
-                for table in [*name, "window"] {
-                    let e = StreamElement::new(
-                        Arc::clone(&schema),
-                        vec![Value::Integer(value(t, i))],
-                        Timestamp(i),
-                    )
-                    .unwrap();
-                    storage.insert(table, e, Timestamp(i)).unwrap();
-                }
+                storage.insert(table, e, Timestamp(i)).unwrap();
             }
         }
-        assert!(storage.stats().spilled_rows > 0, "the window must spill");
-        // The step-loop commit: one write and one fsync per active shard.
-        storage.group_commit().unwrap();
-        // Crash: skip `Drop`, so no page flush and no checkpoint ever happens — the
-        // recovered state below comes entirely from replaying the shard logs.
-        std::mem::forget(storage);
-
-        let logs: Vec<String> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-            .filter(|name| name.ends_with(".wal"))
-            .collect();
-        assert!(
-            !logs.is_empty() && logs.iter().all(|name| name.starts_with("wal-shard-")),
-            "{shards} shards: expected only wal-shard-*.wal logs, found {logs:?}"
-        );
-
-        let storage = StorageManager::with_options(options);
-        for (t, name) in tables.iter().enumerate() {
-            let table = storage
-                .create_table_durable(name, Arc::clone(&schema), Retention::Unbounded)
-                .unwrap();
-            let recovered: Vec<(u64, i64)> = read(
-                &table.read(),
-                WindowSpec::Count(usize::MAX),
-                Timestamp::MAX,
-                &ScanBounds::default(),
-            )
-            .iter()
-            .map(|(seq, _, values)| (*seq, values[0].as_integer().unwrap()))
-            .collect();
-            let inserted: Vec<(u64, i64)> = (0..rows_per_table)
-                .map(|i| (i as u64 + 1, value(t, i)))
-                .collect();
-            assert_eq!(recovered, inserted, "{shards} shards: table {name}");
-        }
-        drop(storage);
-        std::fs::remove_dir_all(&dir).ok();
     }
+    assert!(storage.stats().spilled_rows > 0, "the window must spill");
+    // The step-loop commit: one write and one fsync.
+    storage.group_commit().unwrap();
+    // Crash: skip `Drop`, so no page flush and no checkpoint ever happens — the
+    // recovered state below comes entirely from replaying the log.
+    std::mem::forget(storage);
+
+    let logs: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|name| name.ends_with(".wal"))
+        .collect();
+    assert_eq!(logs, vec!["wal-shard-0000.wal".to_owned()]);
+
+    let storage = StorageManager::with_options(options);
+    for (t, name) in tables.iter().enumerate() {
+        let table = storage
+            .create_table_durable(name, Arc::clone(&schema), Retention::Unbounded)
+            .unwrap();
+        let recovered: Vec<(u64, i64)> = read(
+            &table.read(),
+            WindowSpec::Count(usize::MAX),
+            Timestamp::MAX,
+            &ScanBounds::default(),
+        )
+        .iter()
+        .map(|(seq, _, values)| (*seq, values[0].as_integer().unwrap()))
+        .collect();
+        let inserted: Vec<(u64, i64)> = (0..rows_per_table)
+            .map(|i| (i as u64 + 1, value(t, i)))
+            .collect();
+        assert_eq!(recovered, inserted, "table {name}");
+    }
+    drop(storage);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A data directory written with several WAL shards keeps rows in
+/// `wal-shard-NNNN.wal` files other than the one log: a non-empty one may hold
+/// acknowledged rows, so opening a durable table is refused with a storage error naming
+/// the file, instead of silently dropping those rows.  The first shard's file is the
+/// log itself and opens as before.
+#[test]
+fn durable_open_refuses_a_second_wal_shard() {
+    let dir = temp_dir("second-wal-shard");
+    let schema = Arc::new(StreamSchema::from_pairs(&[("v", DataType::Integer)]).unwrap());
+    let element = |v: i64| {
+        StreamElement::new(Arc::clone(&schema), vec![Value::Integer(v)], Timestamp(v)).unwrap()
+    };
+    // A log at the old default layout: its rows replay.
+    {
+        let storage = StorageManager::persistent(&dir);
+        storage
+            .create_table_durable("history", Arc::clone(&schema), Retention::Unbounded)
+            .unwrap();
+        storage.insert("history", element(1), Timestamp(1)).unwrap();
+        storage.group_commit().unwrap();
+        std::mem::forget(storage);
+    }
+    let second = dir.join("wal-shard-0001.wal");
+    std::fs::write(&second, b"acknowledged rows").unwrap();
+
+    let storage = StorageManager::persistent(&dir);
+    let err = storage
+        .create_table_durable("history", Arc::clone(&schema), Retention::Unbounded)
+        .unwrap_err();
+    assert!(matches!(err, GsnError::Storage(_)), "{err:?}");
+    assert!(err.to_string().contains("wal-shard-0001.wal"), "{err}");
+    assert!(!storage.has_table("history"));
+    assert!(second.exists(), "the refused log is left for recovery");
+
+    // An empty leftover holds nothing acknowledged and does not block the open.
+    std::fs::write(&second, b"").unwrap();
+    let table = storage
+        .create_table_durable("history", schema, Retention::Unbounded)
+        .unwrap();
+    assert_eq!(all_v(&table.read()), vec![1]);
+    drop(storage);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A non-empty per-table `<table>.wal` left by the pre-sharding layout may hold
-/// acknowledged rows that no shard log has: opening the durable table is refused with
-/// a storage error naming the file, instead of silently dropping those rows.
+/// acknowledged rows that the shared log does not have: opening the durable table is
+/// refused with a storage error naming the file, instead of silently dropping them.
 #[test]
 fn durable_open_refuses_a_non_empty_legacy_table_wal() {
     let dir = temp_dir("legacy-wal");

@@ -176,7 +176,6 @@ proptest! {
     #[test]
     fn descriptors_round_trip_through_xml(
         sensor_index in 0u32..1_000,
-        pool in 1usize..16,
         window_count in 1usize..500,
         sampling in 1u32..=10,
         rate in prop::option::of(1u32..200),
@@ -201,7 +200,6 @@ proptest! {
         ];
         let mut builder = VirtualSensorDescriptor::builder(&format!("sensor-{sensor_index}"))
             .unwrap()
-            .pool_size(pool)
             .permanent_storage(permanent)
             .metadata("type", "generated");
         for (name, type_index) in &fields {
@@ -310,7 +308,6 @@ proptest! {
                 ..Default::default()
             },
             window_spill_bytes: Some(8 * 1024),
-            ..Default::default()
         });
         let schema = Arc::new(
             StreamSchema::from_pairs(&[("v", DataType::Integer), ("payload", DataType::Binary)])
